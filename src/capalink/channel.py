@@ -108,18 +108,39 @@ def sample_kernel(wl: Wavelength, p: UserPlacement, grid: ApertureGrid) -> Sampl
 def gain_planar(a: PlanarAperture, p: UserPlacement) -> float:
     """Closed-form channel gain for a planar aperture.
 
-    (1/4 pi) times the four arctan terms over {L_x/2r +- Phi} x {L_z/2r +- Theta};
-    always below the 1/2 energy-conservation bound.
+    The gain is the solid angle the aperture subtends at the user over 4 pi,
+    the paper's four arctan terms over {L_x/2r +- Phi} x {L_z/2r +- Theta}.
+    Those terms cancel for far users, so the solid angle is summed instead
+    over the two triangles of the rectangle with the Van Oosterom-Strackee
+    formula (IEEE Trans. Biomed. Eng. 30, 1983): the triple product of the
+    corner vectors is exactly Psi L_x L_z / r^2, and for far users the
+    denominator is a sum of positive terms.  Always below the 1/2
+    energy-conservation bound.
     """
     r, psi = p.range_m, p.cos_front
+    hx, hz = a.length_x / (2.0 * r), a.length_z / (2.0 * r)
+    # corner vectors from the user, in units of r, counter-clockwise; the
+    # common component -Psi normal to the aperture enters through psi**2
+    corners = [
+        (sx * hx - p.cos_x, sz * hz - p.cos_z)
+        for sx, sz in ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    ]
+    norms = [math.sqrt(x * x + z * z + psi * psi) for x, z in corners]
+
+    def dot(i, j):
+        return corners[i][0] * corners[j][0] + corners[i][1] * corners[j][1] + psi * psi
+
+    triple = psi * (2.0 * hx) * (2.0 * hz)
     total = 0.0
-    for x in (a.length_x / (2.0 * r) + p.cos_x, a.length_x / (2.0 * r) - p.cos_x):
-        for z in (a.length_z / (2.0 * r) + p.cos_z, a.length_z / (2.0 * r) - p.cos_z):
-            arg = (x * z / psi) / math.sqrt(psi**2 + x**2 + z**2)
-            if not math.isfinite(arg):
-                raise ValueError("gain formula produced a non-finite arctan argument")
-            total += math.atan(arg)
-    gain = total / (4.0 * math.pi)
+    for i, j, k in ((0, 1, 2), (0, 2, 3)):
+        den = (
+            norms[i] * norms[j] * norms[k]
+            + dot(i, j) * norms[k]
+            + dot(i, k) * norms[j]
+            + dot(j, k) * norms[i]
+        )
+        total += math.atan2(triple, den)
+    gain = total / (2.0 * math.pi)
     if not 0.0 < gain < PLANAR_GAIN_BOUND:
         raise ValueError(f"gain {gain} escaped the (0, 1/2) energy bound")
     return gain

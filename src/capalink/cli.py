@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, channel, downlink, scenario, uplink
+from .channel import ChannelPair
 from .coupling import CouplingModel
 from .downlink import DpcOrder
 from .geometry import DiscreteAperture, LinearAperture, PlanarAperture
@@ -258,25 +259,17 @@ def _asymptote_ul(scene: Scene) -> float:
 def _asymptote_dl(scene: Scene) -> float:
     """Infinite-aperture downlink sum capacity.
 
-    In the limit both gains reach 1/2 and the users decorrelate, so the dual
-    split follows the KKT threshold with those statistics.
+    In the limit both gains reach 1/2 and the users decorrelate, so this is
+    the downlink sum capacity at the statistics (g_inf, g_inf, 0).
     """
-    try:
-        p = scene.downlink_power
-    except SceneError:
-        return math.nan
-    c1, c2 = scene.snr_coefficient(0), scene.snr_coefficient(1)
     g = 0.5 if not isinstance(scene.aperture, DiscreteAperture) else (
         0.5 * scene.aperture.occupation_ratio
     )
-    xi = (c1 * g - c2 * g) / (c1 * c2 * g * g)
-    if xi >= p:
-        return math.log2(1.0 + c1 * p * g)
-    if xi <= -p:
-        return math.log2(1.0 + c2 * p * g)
-    return math.log2(1.0 + c1 * (p - xi) / 2.0 * g) + math.log2(
-        1.0 + c2 * (p + xi) / 2.0 * g
-    )
+    try:
+        link = scenario.dual_link(scene, ChannelPair(g, g, 0j))
+    except SceneError:
+        return math.nan
+    return downlink.sum_capacity_dl(link)
 
 
 def cmd_sweep(args) -> int:
@@ -533,7 +526,7 @@ def main(argv=None) -> int:
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except channel.CorrelationOverflowError as exc:
+    except (channel.CorrelationOverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 

@@ -354,7 +354,8 @@ def region_dl(link: DualLink, n_splits: int = 201) -> RegionPolygon:
         raise ValueError("need at least 2 power splits")
     pts = []
     for i in range(n_splits):
-        p1 = link.power * i / (n_splits - 1)
+        # the last quotient can round above the budget, leaving p2 < 0
+        p1 = min(link.power * i / (n_splits - 1), link.power)
         p2 = link.power - p1
         pentagon = region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
         pts.extend(pentagon.vertices)

@@ -94,6 +94,21 @@ class TestPlanarGain:
             g = gain_planar(PlanarAperture(lx, lz), random_placement(rng, 1.0, 80.0))
             assert 0.0 < g < 0.5
 
+    def test_far_users_match_gauss_legendre(self):
+        # the paper's four arctan terms cancel to ~1e-12 relative here
+        nodes, weights = np.polynomial.legendre.leggauss(48)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a = PlanarAperture(*rng.uniform(0.2, 1.0, size=2))
+            p = UserPlacement(
+                rng.uniform(20.0, 60.0), *rng.uniform(0.3, math.pi - 0.3, size=2), A_U
+            )
+            x = (a.length_x / 2.0 * nodes)[:, None]
+            z = (a.length_z / 2.0 * nodes)[None, :]
+            q = kernel_Q(WL, p, x, z)
+            ref = np.sum(np.outer(weights, weights) * np.abs(q) ** 2) * a.area / 4.0
+            assert gain_planar(a, p) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_monotone_in_each_side(self):
         sides = np.linspace(0.1, 5.0, 10)
         for lz in sides:

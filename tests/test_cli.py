@@ -146,6 +146,33 @@ class TestSweepCommand:
         asy = float(line[cols.index("asy_ul")])
         assert abs(c_ul - asy) / asy < 0.005
 
+    def test_downlink_asymptote_with_distinct_snr_maps(self, capsys, tmp_path):
+        # noise 2 on user 2 halves its SNR map; at this power the
+        # infinite-aperture KKT split is interior, P1 = (P + xi) / 2
+        cfg = scene_to_dict(scene_defaults())
+        cfg["users"][1]["noise"] = 2.0
+        del cfg["downlink_sum_snr_db"]
+        cfg["downlink_power"] = 1e-4
+        path = tmp_path / "distinct.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(
+            capsys, "sweep", "--config", str(path), "--param", "aperture_area",
+            "--start", "1", "--stop", "1", "--steps", "1",
+        )
+        assert code == 0
+        cols, row = (ln.split(",") for ln in out.strip().splitlines())
+        scene = scenario.load_scene(str(path))
+        c1, c2, p, g = scene.snr_coefficient(0), scene.snr_coefficient(1), 1e-4, 0.5
+        xi = (c1 - c2) / (c1 * c2 * g)
+        assert c1 != c2 and 0.0 < xi < p
+        expected = math.log2(1 + c1 * g * (p + xi) / 2) + math.log2(1 + c2 * g * (p - xi) / 2)
+        brute = max(
+            math.log2(1 + c1 * g * p * t) + math.log2(1 + c2 * g * p * (1 - t))
+            for t in (i / 10000 for i in range(10001))
+        )
+        assert float(row[cols.index("asy_dl")]) == pytest.approx(expected, rel=1e-12)
+        assert expected >= brute
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -205,6 +232,12 @@ class TestDeterminismAndExitCodes:
 
         monkeypatch.setattr(channel, "gain_planar_oracle", blow_up)
         assert main(["gain", "--oracle"]) == 3
+
+    def test_singular_coupled_system_exits_three(self, capsys):
+        # a subnormal termination overflows the single-element coupled solve
+        argv = ["gain", "--aperture", "spda", "--elements", "1", "--mutual-coupling"]
+        assert main(argv + ["--zt", "1e-320"]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
     def test_full_precision_formatting(self, capsys):
         _, out = run(capsys, "region", "--link", "ul")

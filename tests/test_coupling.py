@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from capalink import coupling
 from capalink.coupling import (
     CouplingModel,
     coupled_channel,
@@ -12,7 +14,7 @@ from capalink.coupling import (
     mutual_impedance,
     pair_from_vectors,
 )
-from capalink.geometry import DiscreteAperture, UserPlacement, Wavelength
+from capalink.geometry import DiscreteAperture, UserPlacement, Wavelength, element_centers
 from capalink.uplink import SicOrder, sic_rates, sum_capacity_ul
 
 WL = Wavelength(0.125)
@@ -46,6 +48,70 @@ class TestCouplingMatrix:
         a = DiscreteAperture(3, 3, WL.lam / 3, A_U)
         z = mutual_impedance(a, WL, MODEL)
         assert np.all(np.diag(z) == 0.0)
+
+    @pytest.mark.parametrize("mx, mz", [(5, 3), (3, 7)])
+    def test_lattice_impedance_matches_pairwise_distances(self, mx, mz):
+        # a transposed offset grid or the wrong element order (m_x fastest)
+        # shows up only on non-square arrays
+        a = DiscreteAperture(mx, mz, WL.lam / 3, A_U)
+        pts = element_centers(a)
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        np.fill_diagonal(dist, 1.0)
+        ref = MODEL.impedance_scale * np.exp(-1j * WL.k0 * dist) / dist**2
+        np.fill_diagonal(ref, 0.0)
+        z = mutual_impedance(a, WL, MODEL)
+        np.testing.assert_allclose(z, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
+
+
+class TestCoupledSolve:
+    def test_matches_dense_inverse(self):
+        a = DiscreteAperture(25, 25, WL.lam / 3, A_U)
+        model = CouplingModel(z_antenna=40.0, z_termination=60.0, impedance_scale=0.12)
+        system = mutual_impedance(a, WL, model) + model.z_termination * np.eye(a.count)
+        c = (model.z_antenna + model.z_termination) * np.linalg.inv(system)
+        ref = pair_from_vectors(
+            c @ element_channel(a, USER1, WL), c @ element_channel(a, USER2, WL)
+        )
+        got = coupled_pair(a, USER1, USER2, WL, model)
+        assert got.g1 == pytest.approx(ref.g1, rel=1e-12, abs=0.0)
+        assert got.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0)
+        assert abs(got.rho - ref.rho) <= 1e-12 * abs(ref.rho)
+
+    def test_ill_conditioned_system_is_reported(self, monkeypatch, caplog):
+        # Z + z_t I = Q diag(s) Q^T with singular values from 1 down to 1e-10
+        a = DiscreteAperture(5, 5, WL.lam / 3, A_U)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((a.count, a.count)))
+        system = (q * np.geomspace(1.0, 1e-10, a.count)) @ q.T
+        assert np.linalg.cond(system) == pytest.approx(1e10, rel=1e-3)
+        monkeypatch.setattr(
+            coupling, "mutual_impedance",
+            lambda *args: system - MODEL.z_termination * np.eye(a.count),
+        )
+        with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
+            coupled_pair(a, USER1, USER2, WL, MODEL)
+        assert "ill conditioned" in caplog.text
+
+    def test_well_conditioned_system_is_quiet(self, caplog):
+        a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
+        with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
+            coupled_pair(a, USER1, USER2, WL, MODEL)
+        assert caplog.text == ""
+
+    def test_singular_system_raises(self, monkeypatch):
+        a = DiscreteAperture(3, 3, WL.lam / 3, A_U)
+        # rank one: Z + z_t I is the all-ones matrix
+        monkeypatch.setattr(
+            coupling, "mutual_impedance",
+            lambda *args: np.ones((a.count, a.count)) - MODEL.z_termination * np.eye(a.count),
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            coupled_pair(a, USER1, USER2, WL, MODEL)
+
+    def test_overflowing_solution_raises(self):
+        # a subnormal termination on a single element overflows 1 / (Z + z_t)
+        a = DiscreteAperture(1, 1, 0.05, A_U)
+        with pytest.raises(np.linalg.LinAlgError):
+            coupled_pair(a, USER1, USER2, WL, CouplingModel(z_termination=1e-320))
 
 
 class TestCoupledChannel:

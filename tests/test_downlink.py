@@ -388,6 +388,17 @@ class TestRegionDl:
         poly = region_dl(link, n_splits=1001)
         assert poly.max_sum_rate() == pytest.approx(sum_capacity_dl(link), rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "power, n_splits",
+        [(2.2439999999999998, 2001), (2.2439999999999998, 201), (0.651, 201)],
+    )
+    def test_last_split_stays_within_budget(self, power, n_splits):
+        # power * (n - 1) / (n - 1) rounds above power for these budgets
+        link = random_link(np.random.default_rng(17), power=power)
+        poly = region_dl(link, n_splits=n_splits)
+        c1 = su_capacity_dl(link.snr_at(0, power), link.ch.g1)
+        assert max(v[0] for v in poly.vertices) == c1
+
 
 class TestSceneLevelDuality:
     def test_round_trip_on_default_scene(self):

@@ -186,6 +186,52 @@ def clamp_correlation(rho: complex, where: str, slack: float = RHO_CLAMP_SLACK) 
     )
 
 
+CORRELATION_ROW_BLOCK = 64
+"Rows of the tensor rule summed at a time; bounds the rule's temporaries."
+
+
+def correlation_on_rule(
+    wl: Wavelength,
+    p1: UserPlacement,
+    p2: UserPlacement,
+    x: np.ndarray,
+    z: np.ndarray,
+    wx: np.ndarray,
+    wz: np.ndarray,
+    where: str,
+) -> complex:
+    """Normalized correlation of the two kernels on a tensor-product rule.
+
+    The cross sum sum_ij wx_i wz_j Q_1* Q_2 over the nodes (x_i, 0, z_j) is
+    divided by the square root of the same-rule gain sums, so the leading
+    quadrature error cancels and Cauchy-Schwarz keeps |rho| <= 1 at any
+    order.  Each kernel is sqrt(r Psi / 4 pi) R^(-3/2) exp(-j k0 R), with R
+    the path length from the node to the user; the constant factors cancel
+    in the ratio, so a node costs the real amplitude (R_1 R_2)^(-3/2) and
+    the cosine and sine of one phase k0 (R_2 - R_1).  R^2 is at least
+    (r Psi)^2 > 0, since users stand in front of the aperture plane.  Rows
+    of x are summed in blocks of CORRELATION_ROW_BLOCK, and the weights
+    enter as wx_block @ block @ wz.
+    """
+    s1, s2 = user_position(p1), user_position(p2)
+    dz1, dz2 = (z - s1[2]) ** 2, (z - s2[2]) ** 2
+    re = im = g1 = g2 = 0.0
+    for i in range(0, len(x), CORRELATION_ROW_BLOCK):
+        xb = x[i:i + CORRELATION_ROW_BLOCK, None]
+        wb = wx[i:i + CORRELATION_ROW_BLOCK]
+        d1 = (xb - s1[0]) ** 2 + s1[1] ** 2 + dz1
+        d2 = (xb - s2[0]) ** 2 + s2[1] ** 2 + dz2
+        r1, r2 = np.sqrt(d1), np.sqrt(d2)
+        phase = wl.k0 * (r2 - r1)
+        r12 = r1 * r2
+        amp = 1.0 / (r12 * np.sqrt(r12))
+        re += wb @ (amp * np.cos(phase)) @ wz
+        im -= wb @ (amp * np.sin(phase)) @ wz
+        g1 += wb @ (1.0 / (d1 * r1)) @ wz
+        g2 += wb @ (1.0 / (d2 * r2)) @ wz
+    return clamp_correlation(complex(re, im) / math.sqrt(g1 * g2), where)
+
+
 def correlation_planar(
     a: PlanarAperture,
     p1: UserPlacement,
@@ -195,23 +241,16 @@ def correlation_planar(
 ) -> complex:
     """Channel correlation factor for a planar aperture via the Chebyshev rule.
 
-    The cross integral int Q_1* Q_2 and the two gain integrals are all
-    approximated with the same tensor-product rule before forming
-    rho = cross / sqrt(g1 g2), so the leading quadrature error cancels and
-    Cauchy-Schwarz keeps |rho| <= 1 at any order.
+    The tensor-product rule of the given order over the aperture, weighted
+    by sqrt(1 - psi^2) on each axis, summed by correlation_on_rule.
     """
     if isinstance(rule, int):
         rule = chebyshev_nodes(rule)
-    x = (a.length_x / 2.0 * rule.nodes)[:, None]
-    z = (a.length_z / 2.0 * rule.nodes)[None, :]
     w = rule.sqrt_weights
-    weights = w[:, None] * w[None, :]
-    q1 = kernel_Q(wl, p1, x, z)
-    q2 = kernel_Q(wl, p2, x, z)
-    cross = np.sum(weights * np.conj(q1) * q2)
-    g1 = np.sum(weights * np.abs(q1) ** 2)
-    g2 = np.sum(weights * np.abs(q2) ** 2)
-    return clamp_correlation(complex(cross / math.sqrt(g1 * g2)), "correlation_planar")
+    return correlation_on_rule(
+        wl, p1, p2, a.length_x / 2.0 * rule.nodes, a.length_z / 2.0 * rule.nodes, w, w,
+        "correlation_planar",
+    )
 
 
 def correlation_spda(
@@ -312,7 +351,3 @@ def downlink_snr_coefficient(rx_area: float, sigma2: float, k0: float, eta: floa
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)

@@ -76,7 +76,7 @@ def _resolve_scene(args) -> Scene:
         scene = scenario.load_scene(os.environ[CONFIG_ENV_VAR])
     else:
         scene = scene_defaults()
-    if getattr(args, "quad_order", None):
+    if getattr(args, "quad_order", None) is not None:
         scene = replace(scene, quadrature_order=args.quad_order)
     if getattr(args, "aperture", None):
         scene = _override_aperture(scene, args)

@@ -1,15 +1,18 @@
 """Quadrature rules, the adaptive integration oracle, and aperture grids.
 
 Three layers live here.  Chebyshev-Gauss rules evaluate the closed-form
-correlation sums.  An adaptive Gauss-Kronrod integrator acts as the
-brute-force oracle every closed form is checked against.  Cell-centered
+correlation sums.  A globally adaptive Gauss-Kronrod integrator acts as the
+brute-force oracle every closed form is checked against: its leaf panels
+live in numpy arrays, and each refinement pass evaluates all new panels'
+tensor 7-15 nodes in bounded batches with one integrand call per batch,
+then splits every panel whose error estimate exceeds its share of the
+tolerance (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).  Cell-centered
 aperture grids with quadrature weights carry the discretized detector /
 current / noise fields used by the operator pipelines.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -101,17 +104,78 @@ def cg_integrate_2d(f, half_x: float, half_z: float, rule: ChebyshevRule) -> com
     return complex((math.pi**2 * half_x * half_z) / n**2 * s)
 
 
-def _gk_panel(f, a: float, b: float):
-    "One Gauss-Kronrod 7-15 panel: returns (kronrod_value, error_estimate)."
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _KRONROD_NODES
-    vals = np.asarray(f(x))
+ORACLE_CHUNK_NODES = 100_000
+"Most integrand nodes the oracle evaluates in one call, which bounds its memory."
+
+
+def _gk_panels(f, centers: np.ndarray, halves: np.ndarray):
+    """Tensor Gauss-Kronrod 7-15 rule on a batch of d-dimensional panels.
+
+    Panel i is the box centers[i] +- halves[i].  Axis k's nodes reach f with
+    shape (p, 1, .., 15, .., 1), so f broadcasts them to the (p, 15, .., 15)
+    node grid; its result is broadcast to that shape too.  Returns each
+    panel's Kronrod value and |Kronrod - embedded Gauss| error estimate.
+    """
+    p, d = centers.shape
+    shape = (p,) + (_KRONROD_NODES.size,) * d
+    axes = []
+    for k in range(d):
+        nodes = centers[:, k, None] + halves[:, k, None] * _KRONROD_NODES
+        axes.append(nodes.reshape((p,) + (1,) * k + (-1,) + (1,) * (d - 1 - k)))
+    vals = np.broadcast_to(np.asarray(f(*axes)), shape)
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
-    k = half * np.sum(_KRONROD_WEIGHTS * vals)
-    g = half * np.sum(_GAUSS_WEIGHTS * vals[1::2])
-    return complex(k), abs(k - g)
+        raise ValueError("integrand returned non-finite values on a panel")
+    kronrod, gauss = vals, vals[(slice(None),) + (slice(1, None, 2),) * d]
+    for _ in range(d):
+        kronrod = kronrod @ _KRONROD_WEIGHTS
+        gauss = gauss @ _GAUSS_WEIGHTS
+    vol = np.prod(halves, axis=1)
+    return vol * kronrod, vol * np.abs(kronrod - gauss)
+
+
+def _adaptive_integrate(f, lo, hi, rel_tol, abs_floor, max_panels):
+    """Globally adaptive tensor Gauss-Kronrod cubature over the box [lo, hi].
+
+    Each pass evaluates every new leaf panel in batches of at most
+    ORACLE_CHUNK_NODES nodes, then splits into 2^d halves each leaf whose
+    error exceeds half the tolerance times its share of the volume.  The
+    loop stops once the summed error is at most
+    tol = max(rel_tol |I|, abs_floor).  A pass that splits nothing leaves a
+    summed error of at most tol / 2, so every pass either splits or stops.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    d = lo.size
+    corners = np.array(np.meshgrid(*[[-0.5, 0.5]] * d, indexing="ij")).reshape(d, -1).T
+    chunk = max(1, ORACLE_CHUNK_NODES // _KRONROD_NODES.size**d)
+    total_vol = float(np.prod(0.5 * (hi - lo)))
+    centers, halves = (0.5 * (lo + hi))[None, :], (0.5 * (hi - lo))[None, :]
+    vals = np.empty(0, dtype=complex)
+    errs = np.empty(0)
+    new_c, new_h = centers, halves
+    while True:
+        parts = [_gk_panels(f, new_c[i:i + chunk], new_h[i:i + chunk])
+                 for i in range(0, len(new_c), chunk)]
+        vals = np.concatenate([vals] + [v for v, _ in parts])
+        errs = np.concatenate([errs] + [e for _, e in parts])
+        total, total_err = complex(np.sum(vals)), float(np.sum(errs))
+        tol = max(rel_tol * abs(total), abs_floor)
+        if total_err <= tol:
+            return total
+        split = errs > 0.5 * tol * np.prod(halves, axis=1) / total_vol
+        n_leaves = len(vals) + (2**d - 1) * int(np.count_nonzero(split))
+        if n_leaves > max_panels:
+            raise NonConvergenceError(
+                f"adaptive integration did not converge within {max_panels} panels "
+                f"(error estimate {total_err:.3e}, value {abs(total):.3e})"
+            )
+        keep = ~split
+        new_h = np.repeat(0.5 * halves[split], 2**d, axis=0)
+        new_c = (centers[split][:, None, :] + corners * halves[split][:, None, :]).reshape(-1, d)
+        centers = np.concatenate([centers[keep], new_c])
+        halves = np.concatenate([halves[keep], new_h])
+        vals, errs = vals[keep], errs[keep]
 
 
 def adaptive_integrate_1d(
@@ -124,34 +188,11 @@ def adaptive_integrate_1d(
 ) -> complex:
     """Adaptive Gauss-Kronrod integration of a (complex) vectorized integrand.
 
-    Panels are bisected worst-error first until the summed error estimate
-    drops below max(rel_tol * |integral|, abs_floor).
+    Globally adaptive: panels are bisected in batches until the summed error
+    estimate drops below max(rel_tol * |integral|, abs_floor).  f receives
+    a (panels, 15) array of abscissae.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    val, err = _gk_panel(f, a, b)
-    # heap entries: (-error, tiebreak, a, b, value)
-    heap = [(-err, 0, a, b, val)]
-    total_val, total_err = val, err
-    count = 1
-    tiebreak = 1
-    while total_err > max(rel_tol * abs(total_val), abs_floor):
-        if count >= max_panels:
-            raise NonConvergenceError(
-                f"adaptive integration did not converge within {max_panels} panels "
-                f"(error estimate {total_err:.3e}, value {abs(total_val):.3e})"
-            )
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lval, lerr = _gk_panel(f, pa, mid)
-        rval, rerr = _gk_panel(f, mid, pb)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr + neg_err  # neg_err == -old_err
-        heapq.heappush(heap, (-lerr, tiebreak, pa, mid, lval))
-        heapq.heappush(heap, (-rerr, tiebreak + 1, mid, pb, rval))
-        tiebreak += 2
-        count += 1
-    return total_val
+    return _adaptive_integrate(f, [a], [b], rel_tol, abs_floor, max_panels)
 
 
 def adaptive_integrate_2d(
@@ -159,26 +200,17 @@ def adaptive_integrate_2d(
     bounds,
     rel_tol: float = 1e-8,
     abs_floor: float = 1e-14,
+    max_panels: int = 1 << 20,
 ) -> complex:
-    """Nested adaptive integration of f(x, z) over a rectangle.
+    """Adaptive tensor Gauss-Kronrod integration of f(x, z) over a rectangle.
 
-    bounds is ((x_lo, x_hi), (z_lo, z_hi)).  The inner x-integral runs at a
-    tightened tolerance so its error does not dominate the outer estimate.
-    f must be vectorized in x for scalar z.
+    bounds is ((x_lo, x_hi), (z_lo, z_hi)).  Panels are quartered in batches
+    until the summed error estimate drops below
+    max(rel_tol * |integral|, abs_floor).  f receives x of shape
+    (panels, 15, 1) and z of shape (panels, 1, 15) and must broadcast them.
     """
     (x_lo, x_hi), (z_lo, z_hi) = bounds
-    inner_tol = rel_tol / 10.0
-
-    def outer(zs):
-        zs = np.atleast_1d(zs)
-        out = np.empty(zs.shape, dtype=complex)
-        for i, z in enumerate(zs):
-            out[i] = adaptive_integrate_1d(
-                lambda x: f(x, z), x_lo, x_hi, inner_tol, abs_floor
-            )
-        return out
-
-    return adaptive_integrate_1d(outer, z_lo, z_hi, rel_tol, abs_floor)
+    return _adaptive_integrate(f, [x_lo, z_lo], [x_hi, z_hi], rel_tol, abs_floor, max_panels)
 
 
 @dataclass(frozen=True)
@@ -281,12 +313,19 @@ def sample_noise_field(grid: ApertureGrid, sigma2: float, seed: int) -> SampledF
 def sample_noise_batch(
     grid: ApertureGrid, sigma2: float, seed: int, draws: int
 ) -> np.ndarray:
-    "Matrix of noise realizations, shape (draws, N); rows follow sample_noise_field."
+    """Matrix of independent noise realizations, shape (draws, N).
+
+    Per-point variance is sigma2 / weight_i, as in sample_noise_field.  The
+    real parts of all draws come first from the generator, then the
+    imaginary parts, so for draws > 1 a row is not the field
+    sample_noise_field draws from the same seed.  Filled in place, so no
+    complex temporary of the result's size is made.
+    """
     if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma2 / (2.0 * grid.weights))
-    return scale * (
-        rng.standard_normal((draws, grid.size))
-        + 1j * rng.standard_normal((draws, grid.size))
-    )
+    out = np.empty((draws, grid.size), dtype=complex)
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    out *= np.sqrt(sigma2 / (2.0 * grid.weights))
+    return out

@@ -77,8 +77,3 @@ class RegionPolygon:
         return all(
             _cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) >= -eps for i in range(n)
         )
-
-
-def from_points(points, eps: float = HULL_EPS) -> RegionPolygon:
-    "Region polygon as the convex hull of a point cloud."
-    return RegionPolygon(vertices=tuple(convex_hull(points, eps)))

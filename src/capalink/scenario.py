@@ -204,19 +204,13 @@ def channel_pair(
 
 
 def _linear_correlation(a, p1, p2, wl, n):
-    # 1-D Chebyshev rule along the strip; normalizing the cross sum by the
-    # same-rule gain sums cancels the length_x factor and the leading
+    # 1-D Chebyshev rule along the strip (the single row x = 0); normalizing
+    # by the same-rule gain sums cancels the length_x factor and the leading
     # quadrature error, and keeps |rho| <= 1.
     rule = chebyshev_nodes(n)
-    z = a.length_z / 2.0 * rule.nodes
-    w = rule.sqrt_weights
-    q1 = channel.kernel_Q(wl, p1, 0.0, z)
-    q2 = channel.kernel_Q(wl, p2, 0.0, z)
-    cross = np.sum(w * np.conj(q1) * q2)
-    g1 = np.sum(w * np.abs(q1) ** 2)
-    g2 = np.sum(w * np.abs(q2) ** 2)
-    return channel.clamp_correlation(
-        complex(cross / math.sqrt(g1 * g2)), "correlation_linear"
+    return channel.correlation_on_rule(
+        wl, p1, p2, np.zeros(1), a.length_z / 2.0 * rule.nodes, np.ones(1),
+        rule.sqrt_weights, "correlation_linear",
     )
 
 

@@ -56,14 +56,20 @@ def whitening_covariance_check(
     mu1 = w_op.mu1
 
     rng = np.random.default_rng(seed)
-    noise = sample_noise_batch(grid, 1.0, seed + 1, draws)
+    z = sample_noise_batch(grid, 1.0, seed + 1, draws)
     s1 = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) / math.sqrt(2.0)
-    z = math.sqrt(snr1) * np.outer(s1, g1_field.values) + noise
-    # vectorized whitening of all draws at once
+    # Z = sqrt(snr1) G1 s1 + N, then the whitening update of all draws at
+    # once, both applied in place on the noise array through one buffer
+    buf = np.outer(s1, g1_field.values)
+    buf *= math.sqrt(snr1)
+    z += buf
     proj = z @ (grid.weights * np.conj(g1_field.values))
-    z_w = z + mu1 * np.outer(proj, g1_field.values)
+    np.outer(proj, g1_field.values, out=buf)
+    buf *= mu1
+    z += buf
+    del buf
 
-    emp = (z_w.conj().T @ z_w) / draws
+    emp = (z.conj().T @ z) / draws
     target = np.diag(1.0 / grid.weights)
     diag = np.sqrt(np.diag(target))
     se = np.outer(diag, diag) / math.sqrt(draws)
@@ -82,15 +88,6 @@ def projected_noise_variance_check(
     proj = noise @ (g1_field.grid.weights * np.conj(detector.values))
     var = float(np.mean(np.abs(proj) ** 2))
     return abs(var - sigma2) / sigma2
-
-
-def run_table1(scene, resolution=None, seed: int = 0):
-    "Scene-level entry to the discretized SIC pipeline (order 2->1)."
-    g1_field, g2_field = grid_fields(scene, resolution)
-    s1, s2 = scene.ul_snr_linear
-    return simulate_table1(
-        g1_field, g2_field, s1, s2, seed=seed, wavelength=scene.wavelength.lam
-    )
 
 
 def whitening_root_invariance(scene, resolution=(60, 60)) -> float:

@@ -24,7 +24,7 @@ from capalink.geometry import (
     UserPlacement,
     Wavelength,
 )
-from capalink.numerics import adaptive_integrate_1d
+from capalink.numerics import adaptive_integrate_1d, chebyshev_nodes
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -205,6 +205,41 @@ class TestPlanarCorrelation:
         rho = correlation_planar(APERTURE, USER1, USER2, WL, 40)
         oracle = correlation_planar_oracle(APERTURE, USER1, USER2, WL)
         assert abs(abs(rho) - min(abs(oracle), 1.0)) < 5e-4
+
+
+    @pytest.mark.parametrize("order", [20, 1000])
+    def test_matches_kernel_tensor_sum(self, order):
+        # the rule written out with kernel_Q and the full n^2 weight matrix
+        a = PlanarAperture(20.0, 20.0)
+        rule = chebyshev_nodes(order)
+        x = (a.length_x / 2 * rule.nodes)[:, None]
+        z = (a.length_z / 2 * rule.nodes)[None, :]
+        w = rule.sqrt_weights[:, None] * rule.sqrt_weights[None, :]
+        q1, q2 = kernel_Q(WL, USER1, x, z), kernel_Q(WL, USER2, x, z)
+        expected = np.sum(w * np.conj(q1) * q2) / math.sqrt(
+            np.sum(w * np.abs(q1) ** 2) * np.sum(w * np.abs(q2) ** 2)
+        )
+        got = correlation_planar(a, USER1, USER2, WL, order)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+class TestOracleLargeAperture:
+    # default scene at the 6th point of the 0.25-1e4 m^2 geometric sweep;
+    # reference from composite Gauss-Legendre panels certified by doubling
+    AREA = 188.03015465431966
+    RHO_REF = complex(3.192213815378611e-4, 2.0927816181284326e-2)
+
+    def test_correlation_matches_reference(self):
+        side = math.sqrt(self.AREA)
+        rho = correlation_planar_oracle(PlanarAperture(side, side), USER1, USER2, WL)
+        assert abs(rho - self.RHO_REF) <= 1e-9 * abs(self.RHO_REF)
+
+    def test_gain_at_ten_thousand_square_meters(self):
+        a = PlanarAperture(100.0, 100.0)
+        for user in (USER1, USER2):
+            assert gain_planar_oracle(a, user, WL) == pytest.approx(
+                gain_planar(a, user), rel=1e-6
+            )
 
 
 class TestSpdaCorrelation:

@@ -215,6 +215,13 @@ class TestDeterminismAndExitCodes:
         path.write_text(json.dumps({"wavelength": 0.125, "users": [], "aperture": {}}))
         assert main(["gain", "--config", str(path)]) == 1
 
+    def test_zero_quad_order_exits_one(self, capsys):
+        # 0 must reach validation rather than fall back to the scene's order
+        assert main(["gain", "--quad-order", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: quadrature order must be >= 1"]
+
     def test_failed_verification_exits_two(self, capsys, monkeypatch):
         from capalink import cli
 

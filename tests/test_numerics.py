@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capalink import channel
+from capalink import channel, numerics
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
 from capalink.numerics import (
     NonConvergenceError,
@@ -124,6 +124,30 @@ class TestAdaptiveOracle:
 
         with pytest.raises(NonConvergenceError):
             adaptive_integrate_1d(needle, 0.0, 1.0, rel_tol=1e-12, max_panels=4)
+
+
+    def test_reports_non_convergence_2d(self):
+        def wave(x, z):
+            return np.exp(1j * 400.0 * (x + z))
+
+        with pytest.raises(NonConvergenceError):
+            adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)), max_panels=64)
+
+    def test_batches_stay_within_chunk_bound(self, monkeypatch):
+        # a ten-panel bound, so that the oscillating integrand needs many batches
+        bound = 10 * 15 * 15
+        monkeypatch.setattr(numerics, "ORACLE_CHUNK_NODES", bound)
+        sizes = []
+
+        def wave(x, z):
+            sizes.append(np.broadcast(x, z).size)
+            return np.exp(1j * 40.0 * (x + z))
+
+        val = adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)))
+        exact = ((np.exp(40j) - 1.0) / 40j) ** 2
+        assert abs(val - exact) <= 1e-8 * abs(exact)
+        assert max(sizes) == bound
+        assert len(sizes) > 10
 
 
 class TestCgConvergenceAgainstOracle:

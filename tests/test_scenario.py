@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from capalink import scenario
+from capalink import channel, scenario
 from capalink.geometry import DiscreteAperture, LinearAperture, PlanarAperture
+from capalink.numerics import chebyshev_nodes
 from capalink.scenario import (
     SceneError,
     load_scene,
@@ -121,6 +124,21 @@ class TestDerived:
         ss = scenario.with_aperture(s, DiscreteAperture(m, m, d, d * d))
         chs = scenario.channel_pair(ss)
         assert chs.g1 == pytest.approx(ch.g1, rel=0.02)
+
+    @pytest.mark.parametrize("order", [20, 1000])
+    def test_linear_rule_matches_kernel_sum(self, order):
+        # the 1-D rule along the strip written out with kernel_Q
+        s = scenario.with_aperture(scene_defaults(), LinearAperture(0.01, 400.0))
+        s = replace(s, quadrature_order=order)
+        rule = chebyshev_nodes(order)
+        z = s.aperture.length_z / 2 * rule.nodes
+        q1, q2 = (channel.kernel_Q(s.wavelength, u, 0.0, z) for u in s.users)
+        w = rule.sqrt_weights
+        expected = np.sum(w * np.conj(q1) * q2) / math.sqrt(
+            np.sum(w * np.abs(q1) ** 2) * np.sum(w * np.abs(q2) ** 2)
+        )
+        got = scenario.channel_pair(s).rho
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_ambiguous_sum_snr_rejected(self):
         cfg = scene_to_dict(scene_defaults())

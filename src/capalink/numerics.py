@@ -107,6 +107,9 @@ def cg_integrate_2d(f, half_x: float, half_z: float, rule: ChebyshevRule) -> com
 ORACLE_CHUNK_NODES = 100_000
 "Most integrand nodes the oracle evaluates in one call, which bounds its memory."
 
+ORACLE_MAX_PANELS = 1 << 20
+"Most leaf panels the 2-D oracle may hold before it reports non-convergence."
+
 
 def _gk_panels(f, centers: np.ndarray, halves: np.ndarray):
     """Tensor Gauss-Kronrod 7-15 rule on a batch of d-dimensional panels.
@@ -130,7 +133,7 @@ def _gk_panels(f, centers: np.ndarray, halves: np.ndarray):
         kronrod = kronrod @ _KRONROD_WEIGHTS
         gauss = gauss @ _GAUSS_WEIGHTS
     vol = np.prod(halves, axis=1)
-    return vol * kronrod, vol * np.abs(kronrod - gauss)
+    return vol * kronrod, np.abs(vol) * np.abs(kronrod - gauss)
 
 
 def _adaptive_integrate(f, lo, hi, rel_tol, abs_floor, max_panels):
@@ -149,7 +152,7 @@ def _adaptive_integrate(f, lo, hi, rel_tol, abs_floor, max_panels):
     d = lo.size
     corners = np.array(np.meshgrid(*[[-0.5, 0.5]] * d, indexing="ij")).reshape(d, -1).T
     chunk = max(1, ORACLE_CHUNK_NODES // _KRONROD_NODES.size**d)
-    total_vol = float(np.prod(0.5 * (hi - lo)))
+    total_vol = abs(float(np.prod(0.5 * (hi - lo))))
     centers, halves = (0.5 * (lo + hi))[None, :], (0.5 * (hi - lo))[None, :]
     vals = np.empty(0, dtype=complex)
     errs = np.empty(0)
@@ -163,7 +166,7 @@ def _adaptive_integrate(f, lo, hi, rel_tol, abs_floor, max_panels):
         tol = max(rel_tol * abs(total), abs_floor)
         if total_err <= tol:
             return total
-        split = errs > 0.5 * tol * np.prod(halves, axis=1) / total_vol
+        split = errs > 0.5 * tol * np.abs(np.prod(halves, axis=1)) / total_vol
         n_leaves = len(vals) + (2**d - 1) * int(np.count_nonzero(split))
         if n_leaves > max_panels:
             raise NonConvergenceError(
@@ -200,7 +203,6 @@ def adaptive_integrate_2d(
     bounds,
     rel_tol: float = 1e-8,
     abs_floor: float = 1e-14,
-    max_panels: int = 1 << 20,
 ) -> complex:
     """Adaptive tensor Gauss-Kronrod integration of f(x, z) over a rectangle.
 
@@ -208,9 +210,12 @@ def adaptive_integrate_2d(
     until the summed error estimate drops below
     max(rel_tol * |integral|, abs_floor).  f receives x of shape
     (panels, 15, 1) and z of shape (panels, 1, 15) and must broadcast them.
+    At most ORACLE_MAX_PANELS leaf panels are held.
     """
     (x_lo, x_hi), (z_lo, z_hi) = bounds
-    return _adaptive_integrate(f, [x_lo, z_lo], [x_hi, z_hi], rel_tol, abs_floor, max_panels)
+    return _adaptive_integrate(
+        f, [x_lo, z_lo], [x_hi, z_hi], rel_tol, abs_floor, ORACLE_MAX_PANELS
+    )
 
 
 @dataclass(frozen=True)

@@ -126,12 +126,24 @@ class TestAdaptiveOracle:
             adaptive_integrate_1d(needle, 0.0, 1.0, rel_tol=1e-12, max_panels=4)
 
 
-    def test_reports_non_convergence_2d(self):
+    def test_reversed_bounds(self):
+        # a reversed interval flips the sign but keeps the error control
+        val = adaptive_integrate_1d(lambda x: np.exp(1j * x), math.pi, 0.0)
+        assert val == pytest.approx(complex(0.0, -2.0), abs=1e-10)
+        wave = adaptive_integrate_2d(
+            lambda x, z: np.exp(1j * 40.0 * (x + z)), ((1.0, 0.0), (0.0, 1.0))
+        )
+        exact = -((np.exp(40j) - 1.0) / 40j) ** 2
+        assert abs(wave - exact) <= 1e-8 * abs(exact)
+
+    def test_reports_non_convergence_2d(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ORACLE_MAX_PANELS", 64)
+
         def wave(x, z):
             return np.exp(1j * 400.0 * (x + z))
 
         with pytest.raises(NonConvergenceError):
-            adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)), max_panels=64)
+            adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)))
 
     def test_batches_stay_within_chunk_bound(self, monkeypatch):
         # a ten-panel bound, so that the oscillating integrand needs many batches

@@ -3,8 +3,10 @@
 Every capacity formula downstream consumes only the per-user channel gains
 g_k = int |G_k|^2 and the complex correlation factor
 rho = int G_1* G_2 / sqrt(g1 g2).  This module provides the closed forms for
-planar, linear, and discrete apertures, plus grid/oracle routes to the same
-quantities for cross-checking.
+planar and linear apertures, the tensor rule for continuous-aperture
+correlation, the statistics of element-domain channel vectors (discrete
+arrays, coupled or not), plus grid/oracle routes to the same quantities for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -161,11 +163,16 @@ def gain_linear(a: LinearAperture, p: UserPlacement) -> float:
     return a.length_x * math.sin(p.phi) * rho_geom / (4.0 * math.pi * r * math.sin(p.theta))
 
 
-def gain_spda(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> float:
-    "Exact discrete-array gain: element_area * sum over elements of |Q|^2."
+def element_channel(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> np.ndarray:
+    "Element-domain channel vector sqrt(A_s) Q(element centers) of a discrete array."
     pts = element_centers(a)
-    q = kernel_Q(wl, p, pts[:, 0], pts[:, 2])
-    return float(a.element_area * np.sum(np.abs(q) ** 2))
+    return math.sqrt(a.element_area) * kernel_Q(wl, p, pts[:, 0], pts[:, 2])
+
+
+def gain_spda(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> float:
+    "Exact discrete-array gain: the squared norm of the element channel vector."
+    h = element_channel(a, p, wl)
+    return float(np.vdot(h, h).real)
 
 
 def clamp_correlation(rho: complex, where: str, slack: float = RHO_CLAMP_SLACK) -> complex:
@@ -184,6 +191,20 @@ def clamp_correlation(rho: complex, where: str, slack: float = RHO_CLAMP_SLACK) 
         f"{where} produced |rho| = {mag:.6f}, beyond the clamp slack {slack}; "
         "increase the quadrature order"
     )
+
+
+def pair_from_vectors(h1: np.ndarray, h2: np.ndarray) -> ChannelPair:
+    """Gains and correlation of two element-domain channel vectors.
+
+    An exact finite sum, so Cauchy-Schwarz pins |rho| <= 1 up to float
+    rounding.
+    """
+    g1 = float(np.vdot(h1, h1).real)
+    g2 = float(np.vdot(h2, h2).real)
+    if g1 <= 0.0 or g2 <= 0.0:
+        raise ValueError("channel vectors must have positive norm")
+    rho = complex(np.vdot(h1, h2)) / math.sqrt(g1 * g2)
+    return ChannelPair(g1=g1, g2=g2, rho=clamp_correlation(rho, "pair_from_vectors", 1e-9))
 
 
 CORRELATION_ROW_BLOCK = 64
@@ -253,23 +274,6 @@ def correlation_planar(
     )
 
 
-def correlation_spda(
-    a: DiscreteAperture, p1: UserPlacement, p2: UserPlacement, wl: Wavelength
-) -> complex:
-    """Correlation factor for a discrete array (exact finite sum).
-
-    Normalized by the discrete-array gains so Cauchy-Schwarz pins |rho| <= 1
-    up to float rounding.
-    """
-    pts = element_centers(a)
-    q1 = kernel_Q(wl, p1, pts[:, 0], pts[:, 2])
-    q2 = kernel_Q(wl, p2, pts[:, 0], pts[:, 2])
-    g1 = a.element_area * np.sum(np.abs(q1) ** 2)
-    g2 = a.element_area * np.sum(np.abs(q2) ** 2)
-    cross = a.element_area * np.sum(np.conj(q1) * q2)
-    return clamp_correlation(complex(cross / math.sqrt(g1 * g2)), "correlation_spda")
-
-
 def channel_pair_planar(
     a: PlanarAperture,
     p1: UserPlacement,
@@ -281,16 +285,6 @@ def channel_pair_planar(
         g1=gain_planar(a, p1),
         g2=gain_planar(a, p2),
         rho=correlation_planar(a, p1, p2, wl, rule),
-    )
-
-
-def channel_pair_spda(
-    a: DiscreteAperture, p1: UserPlacement, p2: UserPlacement, wl: Wavelength
-) -> ChannelPair:
-    return ChannelPair(
-        g1=gain_spda(a, p1, wl),
-        g2=gain_spda(a, p2, wl),
-        rho=correlation_spda(a, p1, p2, wl),
     )
 
 

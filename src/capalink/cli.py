@@ -1,11 +1,14 @@
 """Command-line front end: scene print, gain, capacity, region, sweep, verify.
 
+This module parses arguments and formats reports; every statistic, limit
+and check comes from the library modules.
+
 Single-scene reports default to JSON; regions and sweeps emit CSV with a
 header row and 17-significant-digit scientific formatting so runs are
 reproducible byte for byte given the same arguments and seed.
 
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 numeric non-convergence.
+Exit codes: 0 success, 1 validation error (any ValueError that is not a
+numeric failure), 2 verification failure, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, channel, downlink, scenario, uplink
-from .channel import ChannelPair
+from . import __version__, channel, downlink, scenario, uplink, verify
 from .coupling import CouplingModel
-from .downlink import DpcOrder
 from .geometry import DiscreteAperture, LinearAperture, PlanarAperture
 from .numerics import NonConvergenceError
 from .scenario import Scene, SceneError, scene_defaults, scene_to_dict, validate
@@ -120,16 +121,6 @@ def _validate_or_raise(scene: Scene) -> list:
     return findings
 
 
-def _oracle_gain(scene: Scene, k: int) -> float:
-    return channel.gain_planar_oracle(scene.aperture, scene.users[k], scene.wavelength)
-
-
-def _oracle_rho(scene: Scene) -> complex:
-    return channel.correlation_planar_oracle(
-        scene.aperture, scene.users[0], scene.users[1], scene.wavelength
-    )
-
-
 def cmd_gain(args) -> int:
     scene = _resolve_scene(args)
     _validate_or_raise(scene)
@@ -151,13 +142,14 @@ def cmd_gain(args) -> int:
         if not isinstance(scene.aperture, PlanarAperture):
             print("error: --oracle requires a planar aperture", file=sys.stderr)
             return EXIT_VALIDATION
+        ap, users, wl = scene.aperture, scene.users, scene.wavelength
         try:
-            o1 = _oracle_gain(scene, 0)
+            o1 = channel.gain_planar_oracle(ap, users[0], wl)
             report["oracle_g1"] = o1
             report["gap_g1"] = abs(report["g1"] - o1) / o1
             if scene.is_two_user:
-                o2 = _oracle_gain(scene, 1)
-                orho = _oracle_rho(scene)
+                o2 = channel.gain_planar_oracle(ap, users[1], wl)
+                orho = channel.correlation_planar_oracle(ap, users[0], users[1], wl)
                 report["oracle_g2"] = o2
                 report["gap_g2"] = abs(report["g2"] - o2) / o2
                 report["oracle_rho_abs2"] = abs(orho) ** 2
@@ -181,10 +173,10 @@ def cmd_capacity(args) -> int:
     if not scene.is_two_user:
         g = scenario.single_user_gain(scene, 0)
         if args.link == "ul":
-            report["capacity"] = uplink.su_capacity_ul(scene.ul_snr_linear[0], g)
+            snr = scene.ul_snr_linear[0]
         else:
             snr = scene.snr_coefficient(0) * scene.downlink_power
-            report["capacity"] = downlink.su_capacity_dl(snr, g)
+        report["capacity"] = uplink.su_capacity(snr, g)
         _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
@@ -207,7 +199,7 @@ def cmd_capacity(args) -> int:
             report["rates"] = [rates.r1, rates.r2]
         else:
             split = downlink.dual_power_allocation(link)
-            rates = downlink.dpc_rates(link, split.p1, split.p2, DpcOrder.USER2_FIRST)
+            rates = downlink.dpc_rates(link, split.p1, split.p2, SicOrder.USER2_FIRST)
             report["sum_rate"] = downlink.sum_capacity_dl(link)
             report["rates"] = [rates.r1, rates.r2]
             if args.dual_trace:
@@ -240,36 +232,19 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _asymptote_ul(scene: Scene) -> float:
-    "Infinite-aperture uplink sum capacity for the scene's aperture variant."
-    s1, s2 = scene.ul_snr_linear
-    ap = scene.aperture
-    if isinstance(ap, DiscreteAperture):
-        z = ap.occupation_ratio
-        return math.log2(1.0 + z * s1 / 2.0) + math.log2(1.0 + z * s2 / 2.0)
-    if isinstance(ap, LinearAperture):
-        total = 0.0
-        for u, s in zip(scene.users, (s1, s2)):
-            lim = ap.length_x * math.sin(u.phi) / (2.0 * math.pi * u.range_m * math.sin(u.theta))
-            total += math.log2(1.0 + s * lim)
-        return total
-    return math.log2(1.0 + s1 / 2.0) + math.log2(1.0 + s2 / 2.0)
+def _asymptotes(scene: Scene) -> tuple[float, float]:
+    """Infinite-aperture uplink and downlink sum capacities.
 
-
-def _asymptote_dl(scene: Scene) -> float:
-    """Infinite-aperture downlink sum capacity.
-
-    In the limit both gains reach 1/2 and the users decorrelate, so this is
-    the downlink sum capacity at the statistics (g_inf, g_inf, 0).
+    The uplink limit is the sum of the single-user capacities; the downlink
+    one is NaN when the scene has no unambiguous power budget.
     """
-    g = 0.5 if not isinstance(scene.aperture, DiscreteAperture) else (
-        0.5 * scene.aperture.occupation_ratio
-    )
+    ch = scenario.asymptotic_pair(scene)
+    s1, s2 = scene.ul_snr_linear
+    ul = uplink.su_capacity(s1, ch.g1) + uplink.su_capacity(s2, ch.g2)
     try:
-        link = scenario.dual_link(scene, ChannelPair(g, g, 0j))
+        return ul, downlink.sum_capacity_dl(scenario.dual_link(scene, ch))
     except SceneError:
-        return math.nan
-    return downlink.sum_capacity_dl(link)
+        return ul, math.nan
 
 
 def cmd_sweep(args) -> int:
@@ -301,15 +276,14 @@ def cmd_sweep(args) -> int:
             v,
             uplink.sum_capacity_ul(s1, s2, ch),
             uplink.zf_sum_rate_ul(s1, s2, ch),
-            uplink.su_capacity_ul(s1, ch.g1),
-            uplink.su_capacity_ul(s2, ch.g2),
+            uplink.su_capacity(s1, ch.g1),
+            uplink.su_capacity(s2, ch.g2),
             downlink.sum_capacity_dl(link),
             downlink.zf_precoding_dl(link).total,
             ch.g1,
             ch.g2,
             abs(ch.rho) ** 2,
-            _asymptote_ul(step),
-            _asymptote_dl(step),
+            *_asymptotes(step),
         ])
     buf = io.StringIO()
     _write_csv(buf, header, rows)
@@ -360,22 +334,8 @@ def cmd_scene(args) -> int:
 def cmd_verify(args) -> int:
     scene = _resolve_scene(args)
     _validate_or_raise(scene)
-    checks: list[dict] = []
-    suites = {
-        "oracle": _verify_oracle,
-        "whitening": _verify_whitening,
-        "duality": _verify_duality,
-    }
     try:
-        for name, runner in suites.items():
-            if args.suite not in ("all", name):
-                continue
-            try:
-                checks.extend(
-                    runner(scene) if name == "oracle" else runner(scene, args.seed)
-                )
-            except SceneError as exc:
-                checks.append(_check(f"{name}-skipped", 0.0, 1.0, str(exc)))
+        checks = verify.run_suites(scene, args.suite, args.seed)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -390,70 +350,6 @@ def cmd_verify(args) -> int:
         + "\n",
     )
     return EXIT_OK if ok else EXIT_VERIFICATION
-
-
-def _check(name: str, measured: float, tolerance: float, note: str = "") -> dict:
-    return {
-        "name": name,
-        "measured": measured,
-        "tolerance": tolerance,
-        "passed": bool(measured <= tolerance),
-        "note": note,
-    }
-
-
-def _verify_oracle(scene: Scene) -> list[dict]:
-    if not isinstance(scene.aperture, PlanarAperture):
-        return [_check("oracle-skipped-non-planar", 0.0, 1.0, "planar apertures only")]
-    out = []
-    g1 = channel.gain_planar(scene.aperture, scene.users[0])
-    o1 = _oracle_gain(scene, 0)
-    out.append(_check("gain-1-vs-oracle", abs(g1 - o1) / o1, 1e-6))
-    if scene.is_two_user:
-        g2 = channel.gain_planar(scene.aperture, scene.users[1])
-        o2 = _oracle_gain(scene, 1)
-        out.append(_check("gain-2-vs-oracle", abs(g2 - o2) / o2, 1e-6))
-        rho_cg = scenario.channel_pair(scene).rho
-        rho_o = _oracle_rho(scene)
-        out.append(
-            _check(
-                "rho-magnitude-vs-oracle",
-                abs(abs(rho_cg) - min(abs(rho_o), 1.0)),
-                5e-3,
-            )
-        )
-        phase_gap = abs(math.remainder(np.angle(rho_cg) - np.angle(rho_o), 2 * math.pi))
-        # informational: phase deviations are flagged, not failed
-        if phase_gap > 1e-3:
-            print(
-                f"warning: correlation phase deviates from the oracle by "
-                f"{phase_gap:.3e} rad at the current rule order",
-                file=sys.stderr,
-            )
-        out.append(_check("rho-phase-vs-oracle", phase_gap, math.inf, "informational"))
-    return out
-
-
-def _verify_whitening(scene: Scene, seed: int) -> list[dict]:
-    from .verify import whitening_covariance_check, whitening_root_invariance
-
-    out = []
-    cov = whitening_covariance_check(scene, seed=seed)
-    out.append(_check("whitened-covariance-5se", cov, 5.0, "max |dev| / SE"))
-    root_gap = whitening_root_invariance(scene)
-    out.append(_check("mu-root-invariance", root_gap, 1e-10))
-    return out
-
-
-def _verify_duality(scene: Scene, seed: int) -> list[dict]:
-    from .verify import duality_round_trip
-
-    res = duality_round_trip(scene, seed=seed)
-    return [
-        _check("duality-power-recovery", res["power_gap"], 1e-6),
-        _check("duality-sum-power", res["sum_power_gap"], 1e-6),
-        _check("duality-rate-identity", res["rate_gap"], 1e-6),
-    ]
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -529,6 +425,10 @@ def main(argv=None) -> int:
     except (channel.CorrelationOverflowError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    # after the clause above: both of its exceptions subclass ValueError
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

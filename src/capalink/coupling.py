@@ -19,13 +19,12 @@ an SVD.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelPair, clamp_correlation, kernel_Q
-from .geometry import DiscreteAperture, UserPlacement, Wavelength, element_centers
+from .channel import ChannelPair, element_channel, pair_from_vectors
+from .geometry import DiscreteAperture, UserPlacement, Wavelength
 
 log = logging.getLogger(__name__)
 
@@ -90,34 +89,6 @@ def coupling_matrix(
 ) -> np.ndarray:
     "Dense coupling matrix C = (z_a + z_t) (Z + z_t I)^(-1)."
     return _coupled_solve(a, wl, model or CouplingModel(), np.eye(a.count))
-
-
-def element_channel(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> np.ndarray:
-    "Uncoupled element-domain channel vector sqrt(A_s) Q(element centers)."
-    pts = element_centers(a)
-    return math.sqrt(a.element_area) * kernel_Q(wl, p, pts[:, 0], pts[:, 2])
-
-
-def coupled_channel(
-    a: DiscreteAperture, p: UserPlacement, c_matrix: np.ndarray, wl: Wavelength
-) -> np.ndarray:
-    "Channel vector after mutual coupling, C @ h_uncoupled."
-    h = element_channel(a, p, wl)
-    if c_matrix.shape != (h.size, h.size):
-        raise ValueError(
-            f"coupling matrix shape {c_matrix.shape} does not match {h.size} elements"
-        )
-    return c_matrix @ h
-
-
-def pair_from_vectors(h1: np.ndarray, h2: np.ndarray) -> ChannelPair:
-    "Gains and correlation of two element-domain channel vectors."
-    g1 = float(np.vdot(h1, h1).real)
-    g2 = float(np.vdot(h2, h2).real)
-    if g1 <= 0.0 or g2 <= 0.0:
-        raise ValueError("channel vectors must have positive norm")
-    rho = complex(np.vdot(h1, h2)) / math.sqrt(g1 * g2)
-    return ChannelPair(g1=g1, g2=g2, rho=clamp_correlation(rho, "pair_from_vectors", 1e-9))
 
 
 def coupled_pair(

@@ -3,13 +3,15 @@
 The downlink problem is solved in its dual-uplink form: split the sum power
 across the two dual users (closed-form KKT split), map the split to source
 currents (forward transform), or recover the dual split from given currents
-(reverse transform).  ZF precoding with two-channel water-filling and the
-convex-hull capacity region are built on the same statistics.
+(reverse transform).  DPC rates are the dual uplink's SIC rates with the
+order reversed (Vishwanath, Jindal & Goldsmith, IEEE Trans. IT 49, 2003), so
+the rate formulas live in uplink only.  ZF precoding with two-channel
+water-filling and the convex-hull capacity region are built on the same
+statistics.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,17 +25,10 @@ from .numerics import (
     norm_squared,
 )
 from .regions import RegionPolygon, convex_hull
-from .uplink import region_ul, sum_capacity_ul
+from .uplink import Rates, SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
 
 RHO_BAR_FLOOR = 1e-12
 "Below this separability the KKT threshold is undefined (coincident users)."
-
-
-class DpcOrder(enum.Enum):
-    "Encoding order: which user's interference is pre-canceled first."
-
-    USER2_FIRST = "2->1"
-    USER1_FIRST = "1->2"
 
 
 @dataclass(frozen=True)
@@ -72,24 +67,6 @@ class DualPowerSplit:
     @property
     def total(self) -> float:
         return self.p1 + self.p2
-
-
-@dataclass(frozen=True)
-class DownlinkRates:
-    r1: float
-    r2: float
-    scheme: str
-
-    @property
-    def total(self) -> float:
-        return self.r1 + self.r2
-
-
-def su_capacity_dl(gamma_bar_dl: float, g: float) -> float:
-    "Single-user downlink capacity log2(1 + gamma_bar * g); same form as uplink."
-    if gamma_bar_dl < 0.0:
-        raise ValueError("downlink SNR must be nonnegative")
-    return math.log2(1.0 + gamma_bar_dl * g)
 
 
 def mrt_current(h: SampledField, power: float) -> SampledField:
@@ -144,24 +121,16 @@ def dual_objective(link: DualLink, p1: float, p2: float) -> float:
     return sum_capacity_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
 
 
-def dpc_rates(link: DualLink, p1: float, p2: float, order: DpcOrder) -> DownlinkRates:
+def dpc_rates(link: DualLink, p1: float, p2: float, order: SicOrder) -> Rates:
     """Per-user downlink rates under dirty-paper coding at a given split.
 
-    Mirrors the dual uplink SIC rates with the opposite order: encoding
-    2->1 downlink achieves the dual 1->2 uplink rates.
+    The dual uplink SIC rates with the opposite order: encoding 2->1 in the
+    downlink achieves the dual 1->2 uplink rates.
     """
     if p1 < 0.0 or p2 < 0.0:
         raise ValueError("allocated powers must be nonnegative")
-    e1 = link.snr_at(0, p1) * link.ch.g1
-    e2 = link.snr_at(1, p2) * link.ch.g2
-    r2abs = abs(link.ch.rho) ** 2
-    if order is DpcOrder.USER2_FIRST:
-        r1 = math.log2(1.0 + e1 * (1.0 - e2 * r2abs / (1.0 + e2)))
-        r2 = math.log2(1.0 + e2)
-        return DownlinkRates(r1=r1, r2=r2, scheme="dpc-2->1")
-    r1 = math.log2(1.0 + e1)
-    r2 = math.log2(1.0 + e2 * (1.0 - e1 * r2abs / (1.0 + e1)))
-    return DownlinkRates(r1=r1, r2=r2, scheme="dpc-1->2")
+    dual_order = SicOrder.USER1_FIRST if order is SicOrder.USER2_FIRST else SicOrder.USER2_FIRST
+    return sic_rates(link.snr_at(0, p1), link.snr_at(1, p2), link.ch, dual_order)
 
 
 def sum_capacity_dl(link: DualLink) -> float:
@@ -173,9 +142,9 @@ def sum_capacity_dl(link: DualLink) -> float:
     split = dual_power_allocation(link)
     p = link.power
     if split.branch in ("all-to-1", "coincident-1"):
-        return math.log2(1.0 + link.snr_at(0, p) * link.ch.g1)
+        return su_capacity(link.snr_at(0, p), link.ch.g1)
     if split.branch in ("all-to-2", "coincident-2"):
-        return math.log2(1.0 + link.snr_at(1, p) * link.ch.g2)
+        return su_capacity(link.snr_at(1, p), link.ch.g2)
     e1 = link.snr_at(0, split.p1) * link.ch.g1
     e2 = link.snr_at(1, split.p2) * link.ch.g2
     return math.log2(1.0 + e1 + e2 + e1 * e2 * link.ch.rho_bar)
@@ -202,7 +171,7 @@ def water_fill_two(c1: float, c2: float, power: float) -> tuple[float, float]:
     return (power, 0.0) if c1 >= c2 else (0.0, power)
 
 
-def zf_precoding_dl(link: DualLink) -> DownlinkRates:
+def zf_precoding_dl(link: DualLink) -> Rates:
     """Zero-forcing precoding with water-filled powers.
 
     Effective per-unit-power gains are c_k g_k (1 - |rho|^2); at |rho| = 1 the
@@ -212,9 +181,7 @@ def zf_precoding_dl(link: DualLink) -> DownlinkRates:
     c1 = link.snr_per_power[0] * link.ch.g1 * rb
     c2 = link.snr_per_power[1] * link.ch.g2 * rb
     p1, p2 = water_fill_two(c1, c2, link.power)
-    return DownlinkRates(
-        r1=math.log2(1.0 + c1 * p1), r2=math.log2(1.0 + c2 * p2), scheme="zf"
-    )
+    return Rates(r1=math.log2(1.0 + c1 * p1), r2=math.log2(1.0 + c2 * p2))
 
 
 @dataclass(frozen=True)
@@ -252,7 +219,7 @@ def currents_from_dual(
     p2: float,
     h1hat: SampledField,
     h2hat: SampledField,
-    order: DpcOrder = DpcOrder.USER2_FIRST,
+    order: SicOrder = SicOrder.USER2_FIRST,
 ) -> SourceCurrents:
     """Forward duality transform: dual power split to downlink source currents.
 
@@ -263,8 +230,8 @@ def currents_from_dual(
     """
     if p1 < 0.0 or p2 < 0.0:
         raise ValueError("allocated powers must be nonnegative")
-    if order is DpcOrder.USER1_FIRST:
-        swapped = currents_from_dual(p2, p1, h2hat, h1hat, DpcOrder.USER2_FIRST)
+    if order is SicOrder.USER1_FIRST:
+        swapped = currents_from_dual(p2, p1, h2hat, h1hat, SicOrder.USER2_FIRST)
         return SourceCurrents(
             h1hat=h1hat,
             h2hat=h2hat,
@@ -300,13 +267,13 @@ def currents_from_dual(
 
 
 def rates_from_currents(
-    currents: SourceCurrents, order: DpcOrder = DpcOrder.USER2_FIRST
-) -> DownlinkRates:
+    currents: SourceCurrents, order: SicOrder = SicOrder.USER2_FIRST
+) -> Rates:
     "Downlink DPC rates evaluated directly from current/channel integrals."
     j1 = currents.field1()
     j2 = currents.field2()
     h1hat, h2hat = currents.h1hat, currents.h2hat
-    if order is DpcOrder.USER1_FIRST:
+    if order is SicOrder.USER1_FIRST:
         h1hat, h2hat = h2hat, h1hat
         j1, j2 = j2, j1
     s1 = abs(integrate_product(h1hat, j1)) ** 2
@@ -314,9 +281,9 @@ def rates_from_currents(
     s2 = abs(integrate_product(h2hat, j2)) ** 2
     r_first = math.log2(1.0 + s1)
     r_second = math.log2(1.0 + s2 / (1.0 + x21))
-    if order is DpcOrder.USER1_FIRST:
-        return DownlinkRates(r1=r_second, r2=r_first, scheme="dpc-1->2")
-    return DownlinkRates(r1=r_first, r2=r_second, scheme="dpc-2->1")
+    if order is SicOrder.USER1_FIRST:
+        return Rates(r1=r_second, r2=r_first)
+    return Rates(r1=r_first, r2=r_second)
 
 
 def dual_from_currents(
@@ -360,8 +327,3 @@ def region_dl(link: DualLink, n_splits: int = 201) -> RegionPolygon:
         pentagon = region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
         pts.extend(pentagon.vertices)
     return RegionPolygon(vertices=tuple(convex_hull(pts)))
-
-
-def dual_region(link: DualLink, p1: float, p2: float) -> RegionPolygon:
-    "Dual-uplink pentagon for one explicit power split."
-    return region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)

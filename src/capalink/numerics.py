@@ -300,30 +300,15 @@ def norm_squared(u: SampledField) -> float:
     return inner_product(u, u).real
 
 
-def sample_noise_field(grid: ApertureGrid, sigma2: float, seed: int) -> SampledField:
-    """Draw one realization of the white aperture noise field.
-
-    Per-point variance is sigma2 / weight_i, the discrete stand-in for the
-    Dirac-delta covariance: with it, Var(<V, N>) = sigma2 * <V, V> holds
-    exactly on the grid.
-    """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma2 / (2.0 * grid.weights))
-    vals = scale * (rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
-    return SampledField(grid=grid, values=vals)
-
-
 def sample_noise_batch(
     grid: ApertureGrid, sigma2: float, seed: int, draws: int
 ) -> np.ndarray:
-    """Matrix of independent noise realizations, shape (draws, N).
+    """Matrix of independent white aperture noise realizations, shape (draws, N).
 
-    Per-point variance is sigma2 / weight_i, as in sample_noise_field.  The
-    real parts of all draws come first from the generator, then the
-    imaginary parts, so for draws > 1 a row is not the field
-    sample_noise_field draws from the same seed.  Filled in place, so no
+    Per-point variance is sigma2 / weight_i, the discrete stand-in for the
+    Dirac-delta covariance: with it, Var(<V, N>) = sigma2 * <V, V> holds
+    exactly on the grid.  The real parts of all draws come first from the
+    seeded generator, then the imaginary parts.  Filled in place, so no
     complex temporary of the result's size is made.
     """
     if not sigma2 > 0.0:

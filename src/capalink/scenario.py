@@ -65,6 +65,8 @@ class Scene:
             raise SceneError("one uplink SNR per user is required")
         if self.quadrature_order < 1:
             raise SceneError("quadrature order must be >= 1")
+        if min(self.grid_resolution) < 1:
+            raise SceneError("grid resolution must be >= 1 point per axis")
 
     @property
     def is_two_user(self) -> bool:
@@ -190,7 +192,9 @@ def channel_pair(
     if isinstance(ap, DiscreteAperture):
         if coupling_model is not None:
             return coupling.coupled_pair(ap, p1, p2, wl, coupling_model)
-        return channel.channel_pair_spda(ap, p1, p2, wl)
+        return channel.pair_from_vectors(
+            channel.element_channel(ap, p1, wl), channel.element_channel(ap, p2, wl)
+        )
     if coupling_model is not None:
         raise SceneError("mutual coupling is modeled for discrete apertures only")
     n = order if order is not None else scene.quadrature_order
@@ -222,6 +226,26 @@ def single_user_gain(scene: Scene, k: int = 0) -> float:
     if isinstance(ap, LinearAperture):
         return channel.gain_linear(ap, u)
     return channel.gain_planar(ap, u)
+
+
+def asymptotic_pair(scene: Scene) -> ChannelPair:
+    """Statistics of the infinite aperture: each user's limit gain, rho = 0.
+
+    A planar aperture captures half the radiated power, a discrete array the
+    occupied share of that half, and a thin strip L_x sin(phi) /
+    (2 pi r sin(theta)); the users decorrelate in the limit.
+    """
+    if not scene.is_two_user:
+        raise SceneError("asymptotic_pair needs a two-user scene")
+    ap = scene.aperture
+    if isinstance(ap, LinearAperture):
+        g1, g2 = (
+            ap.length_x * math.sin(u.phi) / (2.0 * math.pi * u.range_m * math.sin(u.theta))
+            for u in scene.users
+        )
+        return ChannelPair(g1, g2, 0j)
+    g = 0.5 * ap.occupation_ratio if isinstance(ap, DiscreteAperture) else 0.5
+    return ChannelPair(g, g, 0j)
 
 
 def dual_link(
@@ -272,28 +296,36 @@ def _check_keys(obj: dict, allowed: set, context: str):
         raise SceneError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _number(obj: dict, key: str, default: float | None = None) -> float:
+    "obj[key], or the default if given and the key is absent, as a finite float."
+    x = float(obj[key] if default is None else obj.get(key, default))
+    if not math.isfinite(x):  # JSON NaN and Infinity, and 1e400 read as inf
+        raise SceneError(f"{key} must be a finite number, got {x}")
+    return x
+
+
 def scene_from_dict(cfg: dict) -> Scene:
     "Build a validated Scene from a parsed config mapping."
     _check_keys(cfg, _SCENE_KEYS, "scene")
     try:
-        wl = Wavelength(float(cfg["wavelength"]))
+        wl = Wavelength(_number(cfg, "wavelength"))
         ap_cfg = dict(cfg["aperture"])
         kind = ap_cfg.get("type")
         if kind not in _APERTURE_KEYS:
             raise SceneError(f"aperture type must be one of {sorted(_APERTURE_KEYS)}")
         _check_keys(ap_cfg, _APERTURE_KEYS[kind], f"{kind} aperture")
         if kind == "planar":
-            ap = PlanarAperture(float(ap_cfg["length_x"]), float(ap_cfg["length_z"]))
+            ap = PlanarAperture(_number(ap_cfg, "length_x"), _number(ap_cfg, "length_z"))
         elif kind == "linear":
-            ap = LinearAperture(float(ap_cfg["length_x"]), float(ap_cfg["length_z"]))
+            ap = LinearAperture(_number(ap_cfg, "length_x"), _number(ap_cfg, "length_z"))
         else:
-            spacing = float(ap_cfg["spacing"])
+            spacing = _number(ap_cfg, "spacing")
             if "element_area" in ap_cfg and "occupation" in ap_cfg:
                 raise SceneError("give element_area or occupation, not both")
             if "occupation" in ap_cfg:
-                element_area = float(ap_cfg["occupation"]) * spacing**2
+                element_area = _number(ap_cfg, "occupation") * spacing**2
             else:
-                element_area = float(ap_cfg["element_area"])
+                element_area = _number(ap_cfg, "element_area")
             ap = DiscreteAperture(
                 int(ap_cfg["elements_x"]),
                 int(ap_cfg["elements_z"]),
@@ -307,14 +339,14 @@ def scene_from_dict(cfg: dict) -> Scene:
             _check_keys(u_cfg, _USER_KEYS, "user")
             users.append(
                 UserPlacement(
-                    range_m=float(u_cfg["range"]),
-                    theta=math.radians(float(u_cfg["theta_deg"])),
-                    phi=math.radians(float(u_cfg["phi_deg"])),
-                    rx_area=float(u_cfg.get("rx_area", wl.isotropic_rx_area)),
-                    noise_intensity=float(u_cfg.get("noise", 1.0)),
+                    range_m=_number(u_cfg, "range"),
+                    theta=math.radians(_number(u_cfg, "theta_deg")),
+                    phi=math.radians(_number(u_cfg, "phi_deg")),
+                    rx_area=_number(u_cfg, "rx_area", wl.isotropic_rx_area),
+                    noise_intensity=_number(u_cfg, "noise", 1.0),
                 )
             )
-            snrs.append(float(u_cfg.get("snr_db", 30.0)))
+            snrs.append(_number(u_cfg, "snr_db", 30.0))
         grid = cfg.get("grid", list(DEFAULT_GRID))
         return Scene(
             wavelength=wl,
@@ -322,17 +354,15 @@ def scene_from_dict(cfg: dict) -> Scene:
             users=tuple(users),
             ul_snr_db=tuple(snrs),
             dl_sum_snr_db=(
-                float(cfg["downlink_sum_snr_db"])
-                if "downlink_sum_snr_db" in cfg
-                else None
+                _number(cfg, "downlink_sum_snr_db") if "downlink_sum_snr_db" in cfg else None
             ),
-            dl_power=float(cfg["downlink_power"]) if "downlink_power" in cfg else None,
+            dl_power=_number(cfg, "downlink_power") if "downlink_power" in cfg else None,
             quadrature_order=int(cfg.get("quadrature_order", DEFAULT_QUADRATURE_ORDER)),
             grid_resolution=(int(grid[0]), int(grid[1])),
         )
     except SceneError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"malformed scene config: {exc}") from exc
 
 

@@ -25,7 +25,8 @@ SNR_CAP = 1e30
 
 
 class SicOrder(enum.Enum):
-    "Decoding order: which user is decoded first (and then subtracted)."
+    """Which user goes first: decoded first (and then subtracted) in the
+    uplink, encoded first (and pre-canceled by the other) in the downlink."""
 
     USER2_FIRST = "2->1"
     USER1_FIRST = "1->2"
@@ -43,18 +44,19 @@ class MuRoot(enum.Enum):
 
 
 @dataclass(frozen=True)
-class UplinkRates:
+class Rates:
+    "Per-user rates in bits/s/Hz, uplink or downlink."
+
     r1: float
     r2: float
-    order: SicOrder
 
     @property
     def total(self) -> float:
         return self.r1 + self.r2
 
 
-def su_capacity_ul(gamma_bar: float, g: float) -> float:
-    "Single-user uplink capacity log2(1 + gamma_bar * g), bits/s/Hz."
+def su_capacity(gamma_bar: float, g: float) -> float:
+    "Single-user capacity log2(1 + gamma_bar * g), bits/s/Hz, in either direction."
     if gamma_bar < 0.0:
         raise ValueError("transmit SNR must be nonnegative")
     return math.log2(1.0 + gamma_bar * g)
@@ -144,9 +146,9 @@ def sic_snrs(
     return gamma1 * ch.g1 * penalty, gamma2 * ch.g2
 
 
-def sic_rates(gamma1: float, gamma2: float, ch: ChannelPair, order: SicOrder) -> UplinkRates:
+def sic_rates(gamma1: float, gamma2: float, ch: ChannelPair, order: SicOrder) -> Rates:
     s1, s2 = sic_snrs(gamma1, gamma2, ch, order)
-    return UplinkRates(r1=math.log2(1.0 + s1), r2=math.log2(1.0 + s2), order=order)
+    return Rates(r1=math.log2(1.0 + s1), r2=math.log2(1.0 + s2))
 
 
 def sum_capacity_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> float:
@@ -183,8 +185,8 @@ def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> RegionPolygon:
     Corners are the two SIC operating points; degenerate vertices (zero side
     lengths, no inter-user interference) are merged.
     """
-    c1 = su_capacity_ul(gamma1, ch.g1)
-    c2 = su_capacity_ul(gamma2, ch.g2)
+    c1 = su_capacity(gamma1, ch.g1)
+    c2 = su_capacity(gamma2, ch.g2)
     cs = sum_capacity_ul(gamma1, gamma2, ch)
     verts = [
         (0.0, 0.0),
@@ -211,7 +213,7 @@ def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> RegionPolygon:
 class Table1Result:
     "Discretized SIC pipeline output: rates, SNRs, and the cancellation residual."
 
-    rates: UplinkRates
+    rates: Rates
     gamma1: float
     gamma2: float
     residual_projection: float
@@ -296,11 +298,8 @@ def simulate_table1(
     capped = snr1 > SNR_CAP or snr2 > SNR_CAP
     snr1 = min(snr1, SNR_CAP)
     snr2 = min(snr2, SNR_CAP)
-    rates = UplinkRates(
-        r1=math.log2(1.0 + snr1), r2=math.log2(1.0 + snr2), order=SicOrder.USER2_FIRST
-    )
     return Table1Result(
-        rates=rates,
+        rates=Rates(r1=math.log2(1.0 + snr1), r2=math.log2(1.0 + snr2)),
         gamma1=snr1,
         gamma2=snr2,
         residual_projection=resid_proj,

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from capalink import channel, scenario, uplink, downlink, verify
-from capalink.channel import ChannelPair
-from capalink.coupling import CouplingModel, coupled_pair, element_channel, pair_from_vectors
+from capalink.channel import ChannelPair, element_channel, pair_from_vectors
+from capalink.coupling import CouplingModel, coupled_pair
 from capalink.downlink import (
-    DpcOrder,
     DualLink,
     currents_from_dual,
     dpc_rates,
@@ -195,7 +194,7 @@ def test_criterion_07_duality_round_trip():
             power=p1 + p2,
         )
         got = rates_from_currents(currents)
-        want = dpc_rates(link, p1, p2, DpcOrder.USER2_FIRST)
+        want = dpc_rates(link, p1, p2, SicOrder.USER2_FIRST)
         worst_rate = max(
             worst_rate,
             abs(got.r1 - want.r1) / max(want.r1, 1e-12),

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from capalink.channel import (
     ChannelPair,
     correlation_planar,
     correlation_planar_oracle,
-    correlation_spda,
     downlink_snr_coefficient,
+    element_channel,
     gain_linear,
     gain_planar,
     gain_planar_oracle,
     gain_spda,
     kernel_Q,
+    pair_from_vectors,
     transmit_snr,
 )
 from capalink.geometry import (
@@ -23,8 +25,10 @@ from capalink.geometry import (
     PlanarAperture,
     UserPlacement,
     Wavelength,
+    element_centers,
 )
 from capalink.numerics import adaptive_integrate_1d, chebyshev_nodes
+from capalink.scenario import channel_pair, scene_defaults
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -242,20 +246,42 @@ class TestOracleLargeAperture:
             )
 
 
+def spda_rho(a, p1, p2, wl):
+    return pair_from_vectors(element_channel(a, p1, wl), element_channel(a, p2, wl)).rho
+
+
 class TestSpdaCorrelation:
+    def test_pair_matches_element_sum(self):
+        # the uncoupled discrete-array statistics against the element sums
+        # g_k = A_s sum |Q_k|^2 and rho = A_s sum Q_1* Q_2 / sqrt(g1 g2)
+        d = WL.lam / 3
+        a = DiscreteAperture(7, 5, d, 0.4 * d * d)
+        pts = element_centers(a)
+        q1 = kernel_Q(WL, USER1, pts[:, 0], pts[:, 2])
+        q2 = kernel_Q(WL, USER2, pts[:, 0], pts[:, 2])
+        g1 = a.element_area * np.sum(np.abs(q1) ** 2)
+        g2 = a.element_area * np.sum(np.abs(q2) ** 2)
+        rho = a.element_area * np.sum(np.conj(q1) * q2) / math.sqrt(g1 * g2)
+        scene = replace(scene_defaults(), users=(USER1, USER2), aperture=a)
+        pair = channel_pair(scene)
+        assert pair.g1 == pytest.approx(g1, rel=1e-14, abs=0.0)
+        assert pair.g2 == pytest.approx(g2, rel=1e-14, abs=0.0)
+        assert abs(pair.rho - rho) <= 1e-14 * abs(rho)
+        assert gain_spda(a, USER2, WL) == pytest.approx(g2, rel=1e-14, abs=0.0)
+
     def test_identical_users(self):
         a = DiscreteAperture(5, 5, 0.06, 0.002)
-        assert abs(correlation_spda(a, USER1, USER1, WL)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(spda_rho(a, USER1, USER1, WL)) == pytest.approx(1.0, abs=1e-14)
 
     def test_single_element_rank_one(self):
         a = DiscreteAperture(1, 1, 0.05, A_U)
-        assert abs(correlation_spda(a, USER1, USER2, WL)) == pytest.approx(1.0, abs=1e-14)
+        assert abs(spda_rho(a, USER1, USER2, WL)) == pytest.approx(1.0, abs=1e-14)
 
     def test_full_occupation_matches_planar(self):
         m = 41
         d = 0.5 / m
         a = DiscreteAperture(m, m, d, d * d)
-        rho_s = correlation_spda(a, USER1, USER2, WL)
+        rho_s = spda_rho(a, USER1, USER2, WL)
         rho_p = correlation_planar(APERTURE, USER1, USER2, WL, 40)
         assert abs(abs(rho_s) - abs(rho_p)) < 5e-3
 

@@ -173,6 +173,32 @@ class TestSweepCommand:
         assert float(row[cols.index("asy_dl")]) == pytest.approx(expected, rel=1e-12)
         assert expected >= brute
 
+    def test_downlink_asymptote_of_linear_aperture(self, capsys, tmp_path):
+        # a thin strip's gains tend to L_x sin(phi) / (2 pi r sin(theta)),
+        # not to the planar 1/2
+        cfg = scene_to_dict(scene_defaults())
+        cfg["aperture"] = {"type": "linear", "length_x": 0.02, "length_z": 0.5}
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(
+            capsys, "sweep", "--config", str(path), "--param", "snr",
+            "--start", "10", "--stop", "10", "--steps", "1",
+        )
+        assert code == 0
+        cols, row = (ln.split(",") for ln in out.strip().splitlines())
+        scene = scenario.load_scene(str(path))
+        g1, g2 = (
+            0.02 * math.sin(u.phi) / (2 * math.pi * u.range_m * math.sin(u.theta))
+            for u in scene.users
+        )
+        c, p = scene.snr_coefficient(0), scene.downlink_power
+        assert scene.snr_coefficient(1) == c
+        # equal SNR maps and rho = 0: interior KKT split P1 = (P + xi) / 2
+        xi = (g1 - g2) / (c * g1 * g2)
+        assert 0.0 < xi < p
+        expected = math.log2(1 + c * g1 * (p + xi) / 2) + math.log2(1 + c * g2 * (p - xi) / 2)
+        assert float(row[cols.index("asy_dl")]) == pytest.approx(expected, rel=1e-12)
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -223,10 +249,10 @@ class TestDeterminismAndExitCodes:
         assert captured.err.splitlines() == ["error: quadrature order must be >= 1"]
 
     def test_failed_verification_exits_two(self, capsys, monkeypatch):
-        from capalink import cli
+        from capalink import verify
 
         monkeypatch.setattr(
-            cli, "_verify_duality", lambda scene, seed: [cli._check("forced", 1.0, 0.5)]
+            verify, "_verify_duality", lambda scene, seed: [verify._check("forced", 1.0, 0.5)]
         )
         assert main(["verify", "--suite", "duality"]) == 2
 
@@ -245,6 +271,30 @@ class TestDeterminismAndExitCodes:
         argv = ["gain", "--aperture", "spda", "--elements", "1", "--mutual-coupling"]
         assert main(argv + ["--zt", "1e-320"]) == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gain", "--aperture", "spda", "--elements", "40"],
+            ["gain", "--aperture", "spda", "--occupation", "1.5"],
+            ["region", "--link", "dl", "--splits", "1"],
+            ["sweep", "--param", "aperture_area", "--start", "0", "--stop", "1"],
+            ["sweep", "--param", "occupation", "--start", "0.5", "--stop", "2"],
+            ["gain", "--aperture", "spda", "--mutual-coupling", "--zt", "-1"],
+            ["gain", "--config", "GRID_ZERO"],
+        ],
+    )
+    def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path):
+        cfg = scene_to_dict(scene_defaults())
+        cfg["grid"] = [0, 0]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(cfg))
+        argv = [str(path) if a == "GRID_ZERO" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_full_precision_formatting(self, capsys):
         _, out = run(capsys, "region", "--link", "ul")

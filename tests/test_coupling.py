@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from capalink import coupling
+from capalink.channel import element_channel, pair_from_vectors
 from capalink.coupling import (
     CouplingModel,
-    coupled_channel,
     coupled_pair,
     coupling_matrix,
-    element_channel,
     mutual_impedance,
-    pair_from_vectors,
 )
 from capalink.geometry import DiscreteAperture, UserPlacement, Wavelength, element_centers
 from capalink.uplink import SicOrder, sic_rates, sum_capacity_ul
@@ -115,39 +113,18 @@ class TestCoupledSolve:
 
 
 class TestCoupledChannel:
-    def test_identity_matches_uncoupled(self):
-        a = DiscreteAperture(5, 5, WL.lam / 3, A_U)
-        h = element_channel(a, USER1, WL)
-        hc = coupled_channel(a, USER1, np.eye(a.count), WL)
-        np.testing.assert_array_equal(h, hc)
-        from capalink.channel import correlation_spda, gain_spda
-
-        pair = pair_from_vectors(
-            coupled_channel(a, USER1, np.eye(a.count), WL),
-            coupled_channel(a, USER2, np.eye(a.count), WL),
-        )
-        assert pair.g1 == pytest.approx(gain_spda(a, USER1, WL), rel=1e-12)
-        assert abs(pair.rho) == pytest.approx(
-            abs(correlation_spda(a, USER1, USER2, WL)), abs=1e-12
-        )
-
     def test_scalar_scaling(self):
         a = DiscreteAperture(5, 5, WL.lam / 3, A_U)
         base = pair_from_vectors(
             element_channel(a, USER1, WL), element_channel(a, USER2, WL)
         )
         scaled = pair_from_vectors(
-            coupled_channel(a, USER1, 2.0 * np.eye(a.count), WL),
-            coupled_channel(a, USER2, 2.0 * np.eye(a.count), WL),
+            2.0 * np.eye(a.count) @ element_channel(a, USER1, WL),
+            2.0 * np.eye(a.count) @ element_channel(a, USER2, WL),
         )
         assert scaled.g1 == pytest.approx(4 * base.g1, rel=1e-12)
         assert scaled.g2 == pytest.approx(4 * base.g2, rel=1e-12)
         assert abs(scaled.rho) == pytest.approx(abs(base.rho), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        a = DiscreteAperture(3, 3, WL.lam / 3, A_U)
-        with pytest.raises(ValueError):
-            coupled_channel(a, USER1, np.eye(4), WL)
 
     def test_correlation_bounded(self):
         a = DiscreteAperture(7, 7, WL.lam / 3, A_U)

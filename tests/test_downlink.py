@@ -6,7 +6,6 @@ import pytest
 from capalink import channel, scenario
 from capalink.channel import ChannelPair
 from capalink.downlink import (
-    DpcOrder,
     DualLink,
     currents_from_dual,
     dpc_rates,
@@ -16,14 +15,13 @@ from capalink.downlink import (
     mrt_current,
     rates_from_currents,
     region_dl,
-    su_capacity_dl,
     sum_capacity_dl,
     water_fill_two,
     zf_precoding_dl,
 )
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
 from capalink.numerics import SampledField, integrate_product, norm_squared, uniform_grid
-from capalink.uplink import SicOrder, sic_rates, su_capacity_ul, sum_capacity_ul
+from capalink.uplink import SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -55,10 +53,7 @@ def grid_hats(n=48, c1=None, c2=None):
 
 class TestSingleUserDownlink:
     def test_zero_power(self):
-        assert su_capacity_dl(0.0, 0.3) == 0.0
-
-    def test_same_formula_as_uplink(self):
-        assert su_capacity_dl(123.0, 0.21) == su_capacity_ul(123.0, 0.21)
+        assert su_capacity(0.0, 0.3) == 0.0
 
     def test_mrt_current_power(self):
         h, _ = grid_hats(20)
@@ -193,21 +188,21 @@ class TestCurrentsFromDual:
         for p1, p2 in ((1.0, 4.0), (3.3, 1.7), (5.0, 0.0)):
             cur = currents_from_dual(p1, p2, h1, h2)
             got = rates_from_currents(cur)
-            want = dpc_rates(link, p1, p2, DpcOrder.USER2_FIRST)
+            want = dpc_rates(link, p1, p2, SicOrder.USER2_FIRST)
             assert got.r1 == pytest.approx(want.r1, rel=1e-6, abs=1e-12)
             assert got.r2 == pytest.approx(want.r2, rel=1e-6, abs=1e-12)
 
     def test_opposite_order_swaps_roles(self):
         h1, h2 = grid_hats()
-        cur = currents_from_dual(1.2, 3.4, h1, h2, DpcOrder.USER1_FIRST)
+        cur = currents_from_dual(1.2, 3.4, h1, h2, SicOrder.USER1_FIRST)
         assert cur.total_power() == pytest.approx(1.2 + 3.4, rel=1e-6)
-        got = rates_from_currents(cur, DpcOrder.USER1_FIRST)
+        got = rates_from_currents(cur, SicOrder.USER1_FIRST)
         g1, g2 = norm_squared(h1), norm_squared(h2)
         from capalink.numerics import inner_product
 
         rho = inner_product(h1, h2) / math.sqrt(g1 * g2)
         link = DualLink(ch=ChannelPair(g1=g1, g2=g2, rho=rho), snr_per_power=(1.0, 1.0), power=5.0)
-        want = dpc_rates(link, 1.2, 3.4, DpcOrder.USER1_FIRST)
+        want = dpc_rates(link, 1.2, 3.4, SicOrder.USER1_FIRST)
         assert got.r1 == pytest.approx(want.r1, rel=1e-6)
         assert got.r2 == pytest.approx(want.r2, rel=1e-6)
 
@@ -219,7 +214,7 @@ class TestDpcRates:
             snr_per_power=(10.0, 20.0),
             power=4.0,
         )
-        rates = dpc_rates(link, 4.0, 0.0, DpcOrder.USER2_FIRST)
+        rates = dpc_rates(link, 4.0, 0.0, SicOrder.USER2_FIRST)
         assert rates.r1 == pytest.approx(math.log2(1 + 10 * 4 * 0.2))
         assert rates.r2 == 0.0
 
@@ -229,7 +224,7 @@ class TestDpcRates:
             snr_per_power=(10.0, 20.0),
             power=4.0,
         )
-        rates = dpc_rates(link, 1.0, 3.0, DpcOrder.USER2_FIRST)
+        rates = dpc_rates(link, 1.0, 3.0, SicOrder.USER2_FIRST)
         assert rates.r1 == pytest.approx(math.log2(1 + 10 * 1 * 0.2))
         assert rates.r2 == pytest.approx(math.log2(1 + 20 * 3 * 0.3))
 
@@ -240,22 +235,27 @@ class TestDpcRates:
             p1 = rng.uniform(0.0, link.power)
             p2 = link.power - p1
             want = sum_capacity_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
-            for order in DpcOrder:
+            for order in SicOrder:
                 assert dpc_rates(link, p1, p2, order).total == pytest.approx(
                     want, abs=1e-12
                 )
 
     def test_matches_dual_sic_with_opposite_order(self):
-        link = DualLink(
-            ch=ChannelPair(g1=0.2, g2=0.3, rho=0.6),
-            snr_per_power=(10.0, 20.0),
-            power=4.0,
-        )
-        p1, p2 = 2.5, 1.5
-        dl = dpc_rates(link, p1, p2, DpcOrder.USER2_FIRST)
-        ul = sic_rates(link.snr_at(0, p1), link.snr_at(1, p2), link.ch, SicOrder.USER1_FIRST)
-        assert dl.r1 == pytest.approx(ul.r1, abs=1e-12)
-        assert dl.r2 == pytest.approx(ul.r2, abs=1e-12)
+        # duality: encoding 2->1 achieves the dual uplink's 1->2 SIC rates,
+        # to the last bit
+        rng = np.random.default_rng(5)
+        opposite = {
+            SicOrder.USER2_FIRST: SicOrder.USER1_FIRST,
+            SicOrder.USER1_FIRST: SicOrder.USER2_FIRST,
+        }
+        for _ in range(1000):
+            link = random_link(rng)
+            p1 = rng.uniform(0.0, link.power)
+            p2 = link.power - p1
+            for order in SicOrder:
+                dl = dpc_rates(link, p1, p2, order)
+                ul = sic_rates(link.snr_at(0, p1), link.snr_at(1, p2), link.ch, opposite[order])
+                assert (dl.r1, dl.r2) == (ul.r1, ul.r2)
 
 
 class TestDualFromCurrents:
@@ -305,7 +305,7 @@ class TestSumCapacityDl:
             snr_per_power=(100.0, 100.0),
             power=2.0,
         )
-        assert sum_capacity_dl(link) == pytest.approx(su_capacity_dl(200.0, 0.4))
+        assert sum_capacity_dl(link) == pytest.approx(su_capacity(200.0, 0.4))
 
     def test_equals_dpc_sum_at_optimal_split(self):
         rng = np.random.default_rng(4)
@@ -313,7 +313,7 @@ class TestSumCapacityDl:
             link = random_link(rng)
             split = dual_power_allocation(link)
             cdl = sum_capacity_dl(link)
-            for order in DpcOrder:
+            for order in SicOrder:
                 assert dpc_rates(link, split.p1, split.p2, order).total == pytest.approx(
                     cdl, abs=1e-12
                 )
@@ -360,8 +360,8 @@ class TestRegionDl:
         rng = np.random.default_rng(2)
         link = random_link(rng, power=10.0)
         poly = region_dl(link, n_splits=2)
-        c1 = su_capacity_dl(link.snr_at(0, link.power), link.ch.g1)
-        c2 = su_capacity_dl(link.snr_at(1, link.power), link.ch.g2)
+        c1 = su_capacity(link.snr_at(0, link.power), link.ch.g1)
+        c2 = su_capacity(link.snr_at(1, link.power), link.ch.g2)
         assert poly.contains((c1, 0.0), eps=1e-9)
         assert poly.contains((0.0, c2), eps=1e-9)
 
@@ -369,11 +369,9 @@ class TestRegionDl:
         rng = np.random.default_rng(14)
         link = random_link(rng, power=5.0)
         poly = region_dl(link, n_splits=31)
-        from capalink.downlink import dual_region
-
         for i in range(31):
             p1 = link.power * i / 30
-            pent = dual_region(link, p1, link.power - p1)
+            pent = region_ul(link.snr_at(0, p1), link.snr_at(1, link.power - p1), link.ch)
             for v in pent.vertices:
                 assert poly.contains(v, eps=1e-9)
 
@@ -396,7 +394,7 @@ class TestRegionDl:
         # power * (n - 1) / (n - 1) rounds above power for these budgets
         link = random_link(np.random.default_rng(17), power=power)
         poly = region_dl(link, n_splits=n_splits)
-        c1 = su_capacity_dl(link.snr_at(0, power), link.ch.g1)
+        c1 = su_capacity(link.snr_at(0, power), link.ch.g1)
         assert max(v[0] for v in poly.vertices) == c1
 
 

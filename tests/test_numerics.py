@@ -14,7 +14,6 @@ from capalink.numerics import (
     chebyshev_nodes,
     inner_product,
     sample_noise_batch,
-    sample_noise_field,
     uniform_grid,
     ApertureGrid,
     SampledField,
@@ -281,9 +280,9 @@ class TestNoiseField:
 
     def test_single_draw_reproducible(self):
         g = uniform_grid(PlanarAperture(1.0, 1.0), 2, 2)
-        f1 = sample_noise_field(g, 1.0, seed=42)
-        f2 = sample_noise_field(g, 1.0, seed=42)
-        np.testing.assert_array_equal(f1.values, f2.values)
+        f1 = sample_noise_batch(g, 1.0, seed=42, draws=1)
+        f2 = sample_noise_batch(g, 1.0, seed=42, draws=1)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_covariance_matches_discrete_delta(self):
         g = uniform_grid(PlanarAperture(0.8, 1.2), 4, 4)

@@ -110,6 +110,29 @@ class TestConfigSchema:
         with pytest.raises(SceneError):
             scene_from_dict(cfg)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, token):
+        # json reads NaN and Infinity, and 1e400 overflows to inf
+        text = json.dumps(scene_to_dict(scene_defaults()))
+        text = text.replace('"snr_db": 30.0', f'"snr_db": {token}')
+        cfg = json.loads(text)
+        assert not math.isfinite(cfg["users"][0]["snr_db"])
+        with pytest.raises(SceneError, match="snr_db must be a finite number"):
+            scene_from_dict(cfg)
+
+    @pytest.mark.parametrize("key", ["quadrature_order", "grid"])
+    def test_non_finite_integers_rejected(self, key):
+        cfg = scene_to_dict(scene_defaults())
+        cfg[key] = math.inf if key == "quadrature_order" else [math.inf, 10]
+        with pytest.raises(SceneError):
+            scene_from_dict(cfg)
+
+    def test_empty_grid_rejected(self):
+        cfg = scene_to_dict(scene_defaults())
+        cfg["grid"] = [0, 0]
+        with pytest.raises(SceneError, match="grid resolution"):
+            scene_from_dict(cfg)
+
 
 class TestDerived:
     def test_channel_pair_variants(self):

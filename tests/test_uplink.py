@@ -17,7 +17,7 @@ from capalink.uplink import (
     sic_rates,
     sic_snrs,
     simulate_table1,
-    su_capacity_ul,
+    su_capacity,
     sum_capacity_ul,
     whitening_build,
     whitening_mu,
@@ -50,13 +50,13 @@ def grid_fields(n=120):
 
 class TestSingleUser:
     def test_zero_snr(self):
-        assert su_capacity_ul(0.0, 0.3) == 0.0
+        assert su_capacity(0.0, 0.3) == 0.0
 
     def test_unit_received_snr(self):
-        assert su_capacity_ul(6.0, 1.0 / 6.0) == pytest.approx(1.0)
+        assert su_capacity(6.0, 1.0 / 6.0) == pytest.approx(1.0)
 
     def test_thirty_db_sixth_gain(self):
-        assert su_capacity_ul(1e3, 1.0 / 6.0) == pytest.approx(7.389, abs=5e-4)
+        assert su_capacity(1e3, 1.0 / 6.0) == pytest.approx(7.389, abs=5e-4)
 
 
 class TestMrcDetector:
@@ -177,7 +177,7 @@ class TestSicSnrs:
 class TestSumCapacity:
     def test_single_user_reduction(self):
         ch = ChannelPair(g1=0.2, g2=0.3, rho=0.5)
-        assert sum_capacity_ul(40.0, 0.0, ch) == pytest.approx(su_capacity_ul(40.0, 0.2))
+        assert sum_capacity_ul(40.0, 0.0, ch) == pytest.approx(su_capacity(40.0, 0.2))
 
     def test_collocated_users(self):
         ch = ChannelPair(g1=0.2, g2=0.3, rho=1.0)
@@ -224,7 +224,7 @@ class TestSumCapacity:
 class TestZeroForcing:
     def test_orthogonal_equals_single_user_sum(self):
         ch = ChannelPair(g1=0.1, g2=0.2, rho=0.0)
-        expected = su_capacity_ul(100.0, 0.1) + su_capacity_ul(50.0, 0.2)
+        expected = su_capacity(100.0, 0.1) + su_capacity(50.0, 0.2)
         assert zf_sum_rate_ul(100.0, 50.0, ch) == pytest.approx(expected)
 
     def test_fully_aligned_kills_both(self):
@@ -252,8 +252,8 @@ class TestRegion:
     def test_orthogonal_rectangle(self):
         ch = ChannelPair(g1=0.1, g2=0.2, rho=0.0)
         poly = region_ul(10.0, 20.0, ch)
-        c1 = su_capacity_ul(10.0, 0.1)
-        c2 = su_capacity_ul(20.0, 0.2)
+        c1 = su_capacity(10.0, 0.1)
+        c2 = su_capacity(20.0, 0.2)
         assert len(poly.vertices) == 4
         assert (round(c1, 12), round(c2, 12)) in {
             (round(x, 12), round(y, 12)) for x, y in poly.vertices
@@ -262,7 +262,7 @@ class TestRegion:
     def test_silent_second_user_segment(self):
         ch = ChannelPair(g1=0.1, g2=0.2, rho=0.3)
         poly = region_ul(10.0, 0.0, ch)
-        assert poly.vertices == ((0.0, 0.0), (su_capacity_ul(10.0, 0.1), 0.0))
+        assert poly.vertices == ((0.0, 0.0), (su_capacity(10.0, 0.1), 0.0))
 
     def test_corners_match_sic_rates(self):
         rng = np.random.default_rng(13)
@@ -281,8 +281,8 @@ class TestRegion:
         poly = region_ul(100.0, 200.0, ch)
         assert len(poly.vertices) == 5
         assert poly.is_convex()
-        c1 = su_capacity_ul(100.0, 0.1)
-        c2 = su_capacity_ul(200.0, 0.2)
+        c1 = su_capacity(100.0, 0.1)
+        c2 = su_capacity(200.0, 0.2)
         csum = sum_capacity_ul(100.0, 200.0, ch)
         for x, y in poly.vertices:
             assert x <= c1 + 1e-12 and y <= c2 + 1e-12 and x + y <= csum + 1e-12

@@ -306,22 +306,25 @@ def gain_planar_oracle(
     return adaptive_integrate_2d(integrand, _aperture_bounds(a), rel_tol).real
 
 
-def correlation_planar_oracle(
+def channel_pair_planar_oracle(
     a: PlanarAperture,
     p1: UserPlacement,
     p2: UserPlacement,
     wl: Wavelength,
     rel_tol: float = 1e-8,
-) -> complex:
-    "Brute-force correlation factor via adaptive integration; not clamped."
+) -> tuple[float, float, complex]:
+    """Brute-force (g1, g2, rho): three adaptive integrations, rho not clamped.
+
+    A tuple rather than a ChannelPair, which would reject |rho| above 1.
+    """
 
     def integrand(x, z):
         return np.conj(kernel_Q(wl, p1, x, z)) * kernel_Q(wl, p2, x, z)
 
-    cross = adaptive_integrate_2d(integrand, _aperture_bounds(a), rel_tol)
     g1 = gain_planar_oracle(a, p1, wl, rel_tol)
     g2 = gain_planar_oracle(a, p2, wl, rel_tol)
-    return cross / math.sqrt(g1 * g2)
+    cross = adaptive_integrate_2d(integrand, _aperture_bounds(a), rel_tol)
+    return g1, g2, cross / math.sqrt(g1 * g2)
 
 
 def transmit_snr(

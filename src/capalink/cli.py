@@ -3,11 +3,13 @@
 This module parses arguments and formats reports; every statistic, limit
 and check comes from the library modules.
 
-Single-scene reports default to JSON; regions and sweeps emit CSV with a
-header row and 17-significant-digit scientific formatting so runs are
-reproducible byte for byte given the same arguments and seed.
+Single-scene reports are strict JSON (no NaN or infinities); regions and
+sweeps emit CSV with a header row and 17-significant-digit scientific
+formatting so runs are reproducible byte for byte given the same arguments
+and seed.
 
-Exit codes: 0 success, 1 validation error (any ValueError that is not a
+Exit codes: 0 success, 1 validation error (a rejected command line, float
+options that are not finite included, or any ValueError that is not a
 numeric failure), 2 verification failure, 3 numeric non-convergence.
 """
 
@@ -49,6 +51,11 @@ def _write_csv(stream, header: list[str], rows: list[list[float]]):
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json(obj) -> str:
+    "Indented, key-sorted strict JSON: NaN or an infinity raises ValueError."
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(args, text: str) -> str:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -63,8 +70,7 @@ def _emit(args, text: str) -> str:
                 "outputs": {args.output: checksum},
             }
             with open(args.manifest, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(_json(manifest))
     else:
         sys.stdout.write(text)
     return text
@@ -144,19 +150,19 @@ def cmd_gain(args) -> int:
             return EXIT_VALIDATION
         ap, users, wl = scene.aperture, scene.users, scene.wavelength
         try:
-            o1 = channel.gain_planar_oracle(ap, users[0], wl)
-            report["oracle_g1"] = o1
-            report["gap_g1"] = abs(report["g1"] - o1) / o1
             if scene.is_two_user:
-                o2 = channel.gain_planar_oracle(ap, users[1], wl)
-                orho = channel.correlation_planar_oracle(ap, users[0], users[1], wl)
+                o1, o2, orho = channel.channel_pair_planar_oracle(ap, *users, wl)
                 report["oracle_g2"] = o2
                 report["gap_g2"] = abs(report["g2"] - o2) / o2
                 report["oracle_rho_abs2"] = abs(orho) ** 2
+            else:
+                o1 = channel.gain_planar_oracle(ap, users[0], wl)
+            report["oracle_g1"] = o1
+            report["gap_g1"] = abs(report["g1"] - o1) / o1
         except NonConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
-    _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json(report))
     return EXIT_OK
 
 
@@ -177,7 +183,7 @@ def cmd_capacity(args) -> int:
         else:
             snr = scene.snr_coefficient(0) * scene.downlink_power
         report["capacity"] = uplink.su_capacity(snr, g)
-        _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(args, _json(report))
         return EXIT_OK
 
     ch = scenario.channel_pair(scene, coupling_model=model)
@@ -211,7 +217,7 @@ def cmd_capacity(args) -> int:
                 }
     report["g1"], report["g2"] = ch.g1, ch.g2
     report["rho_abs2"] = abs(ch.rho) ** 2
-    _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json(report))
     return EXIT_OK
 
 
@@ -327,7 +333,7 @@ def cmd_scene(args) -> int:
         resolved["derived"]["downlink_power"] = scene.downlink_power
     except SceneError:
         pass
-    _emit(args, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json(resolved))
     return EXIT_VALIDATION if any(f.severity == "error" for f in findings) else EXIT_OK
 
 
@@ -341,15 +347,28 @@ def cmd_verify(args) -> int:
         return EXIT_NONCONVERGENCE
     ok = all(c["passed"] for c in checks)
     _emit(
-        args,
-        json.dumps(
-            {"command": "verify", "suite": args.suite, "passed": ok, "checks": checks},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        args, _json({"command": "verify", "suite": args.suite, "passed": ok, "checks": checks})
     )
     return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+class _UsageError(Exception):
+    "A command line argparse rejects; main reports it as one error: line."
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -361,16 +380,18 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
         "--aperture", choices=["planar", "linear", "spda"], help="override aperture type"
     )
-    p.add_argument("--occupation", type=float, default=1.0, help="SPDA occupation ratio")
+    p.add_argument(
+        "--occupation", type=_finite_float, default=1.0, help="SPDA occupation ratio"
+    )
     p.add_argument("--elements", type=int, default=41, help="SPDA elements per side")
     p.add_argument("--mutual-coupling", action="store_true")
-    p.add_argument("--za", type=float, default=50.0, help="antenna impedance, ohms")
-    p.add_argument("--zt", type=float, default=50.0, help="termination impedance, ohms")
-    p.add_argument("--z-scale", type=float, default=0.1, help="mutual impedance scale")
+    p.add_argument("--za", type=_finite_float, default=50.0, help="antenna impedance, ohms")
+    p.add_argument("--zt", type=_finite_float, default=50.0, help="termination impedance, ohms")
+    p.add_argument("--z-scale", type=_finite_float, default=0.1, help="mutual impedance scale")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="capalink",
         description="Capacity limits of continuous-aperture two-user MISO links",
     )
@@ -402,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="parameter sweep as CSV")
     _add_common(p)
     p.add_argument("--param", choices=["aperture_area", "occupation", "snr"], required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
+    p.add_argument("--start", type=_finite_float, required=True)
+    p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=9)
     p.set_defaults(func=cmd_sweep)
 
@@ -416,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SceneError as exc:
+    except (_UsageError, SceneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (channel.CorrelationOverflowError, np.linalg.LinAlgError) as exc:

@@ -3,7 +3,15 @@
 Each check returns measured deviations (not booleans) so callers can report
 against their own tolerances.  run_suites bundles them into the named
 suites of `capalink verify`, each check a {name, measured, tolerance,
-passed, note} record.
+passed, note} record; an informational check has tolerance None (null in
+the JSON report) and always passes.
+
+The whitening suite is deterministic: the whitened covariance of user 1's
+interference plus noise is formed exactly on a 4x4 grid (a 16x16 product)
+and compared with the white target under a tolerance that scales with the
+cancellation, and the decode SNR is compared across both mu roots.  Only
+the duality suite uses the seed, to pick an interior split when the
+optimal one is a corner.
 """
 
 from __future__ import annotations
@@ -44,40 +52,42 @@ def grid_fields(scene, resolution=None):
     return tuple(channel.sample_kernel(scene.wavelength, u, grid) for u in scene.users)
 
 
-def whitening_covariance_check(
-    scene, seed: int = 0, draws: int = 100_000, resolution=(4, 4)
-) -> float:
-    """Monte-Carlo covariance of the whitened interference-plus-noise field.
+WHITENING_ROUNDOFF = 1e-13
+"Relative roundoff allowed per unit of the cancelled signal scale 1 + snr1 g1."
 
-    Draws Z = sqrt(snr1) G1 s1 + N (unit noise intensity), whitens it, and
-    compares the empirical covariance against the white target diag(1/w).
-    Returns the worst entry deviation in standard-error units.
+
+def whitened_covariance_deviation(g1_field, snr1: float, mu1: float) -> float:
+    """Worst entry of W Sigma W^H - diag(t) in units of sqrt(t_i t_j), t = 1/w.
+
+    W = I + mu1 g (w * conj(g))^T is the grid whitening update and
+    Sigma = snr1 g g^H + diag(t) the covariance of sqrt(snr1) G1 s1 + N at unit
+    noise intensity.  The difference is exactly c g g^H with
+    c = whitening_mu_residual(mu1, snr1, g1), so the result is
+    |c| max(w |g|^2): zero at either root up to roundoff, which grows like
+    eps snr1 g1.
+    """
+    g = g1_field.values
+    w = g1_field.grid.weights
+    t = 1.0 / w
+    whiten = np.eye(g.size, dtype=complex) + mu1 * np.outer(g, w * np.conj(g))
+    cov = snr1 * np.outer(g, np.conj(g)) + np.diag(t)
+    dev = whiten @ cov @ whiten.conj().T - np.diag(t)
+    return float(np.max(np.abs(dev) / np.sqrt(np.outer(t, t))))
+
+
+def whitening_covariance_check(scene, resolution=(4, 4)) -> tuple[float, float]:
+    """Exact whitened covariance of user 1's interference plus noise on a grid.
+
+    Returns the deviation from white (whitened_covariance_deviation) and its
+    tolerance WHITENING_ROUNDOFF (1 + snr1 g1), which scales with the
+    cancellation, so a relative error of 1e-6 in mu1 exceeds it from 0 to
+    120 dB and from 0.3 to 30 m sides.
     """
     g1_field = grid_fields(scene, resolution)[0]
-    grid = g1_field.grid
     snr1 = scene.ul_snr_linear[0]
-    w_op = whitening_build(g1_field, snr1)
-    mu1 = w_op.mu1
-
-    rng = np.random.default_rng(seed)
-    z = sample_noise_batch(grid, 1.0, seed + 1, draws)
-    s1 = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) / math.sqrt(2.0)
-    # Z = sqrt(snr1) G1 s1 + N, then the whitening update of all draws at
-    # once, both applied in place on the noise array through one buffer
-    buf = np.outer(s1, g1_field.values)
-    buf *= math.sqrt(snr1)
-    z += buf
-    proj = z @ (grid.weights * np.conj(g1_field.values))
-    np.outer(proj, g1_field.values, out=buf)
-    buf *= mu1
-    z += buf
-    del buf
-
-    emp = (z.conj().T @ z) / draws
-    target = np.diag(1.0 / grid.weights)
-    diag = np.sqrt(np.diag(target))
-    se = np.outer(diag, diag) / math.sqrt(draws)
-    return float(np.max(np.abs(emp - target) / se))
+    op = whitening_build(g1_field, snr1)
+    tolerance = WHITENING_ROUNDOFF * (1.0 + snr1 * op.g1)
+    return whitened_covariance_deviation(g1_field, snr1, op.mu1), tolerance
 
 
 def projected_noise_variance_check(
@@ -117,9 +127,7 @@ def table1_closed_form_gap(scene, resolution=None) -> dict:
     )
     g1 = channel.gain_planar(ap, scene.users[0])
     g2 = channel.gain_planar(ap, scene.users[1])
-    rho = channel.correlation_planar_oracle(
-        ap, scene.users[0], scene.users[1], scene.wavelength
-    )
+    rho = channel.channel_pair_planar_oracle(ap, *scene.users, scene.wavelength)[2]
     r2 = min(abs(rho), 1.0) ** 2
     gamma2_closed = s2 * g2 * (1.0 - s1 * g1 * r2 / (1.0 + s1 * g1))
     gamma1_closed = s1 * g1
@@ -192,12 +200,13 @@ def duality_round_trip(scene, seed: int = 0, resolution=(48, 48)) -> dict:
     }
 
 
-def _check(name: str, measured: float, tolerance: float, note: str = "") -> dict:
+def _check(name: str, measured: float, tolerance: float | None, note: str = "") -> dict:
+    "One report record; a None tolerance marks an informational check that passes."
     return {
         "name": name,
         "measured": measured,
         "tolerance": tolerance,
-        "passed": bool(measured <= tolerance),
+        "passed": tolerance is None or bool(measured <= tolerance),
         "note": note,
     }
 
@@ -208,15 +217,16 @@ def _verify_oracle(scene) -> list[dict]:
         return [_check("oracle-skipped-non-planar", 0.0, 1.0, "planar apertures only")]
     wl, users = scene.wavelength, scene.users
     out = []
+    if scene.is_two_user:
+        o1, o2, rho_o = channel.channel_pair_planar_oracle(ap, *users, wl)
+    else:
+        o1 = channel.gain_planar_oracle(ap, users[0], wl)
     g1 = channel.gain_planar(ap, users[0])
-    o1 = channel.gain_planar_oracle(ap, users[0], wl)
     out.append(_check("gain-1-vs-oracle", abs(g1 - o1) / o1, 1e-6))
     if scene.is_two_user:
         g2 = channel.gain_planar(ap, users[1])
-        o2 = channel.gain_planar_oracle(ap, users[1], wl)
         out.append(_check("gain-2-vs-oracle", abs(g2 - o2) / o2, 1e-6))
         rho_cg = scenario.channel_pair(scene).rho
-        rho_o = channel.correlation_planar_oracle(ap, users[0], users[1], wl)
         out.append(
             _check(
                 "rho-magnitude-vs-oracle",
@@ -232,17 +242,19 @@ def _verify_oracle(scene) -> list[dict]:
                 "current rule order",
                 phase_gap,
             )
-        out.append(_check("rho-phase-vs-oracle", phase_gap, math.inf, "informational"))
+        out.append(_check("rho-phase-vs-oracle", phase_gap, None, "informational"))
     return out
 
 
-def _verify_whitening(scene, seed: int) -> list[dict]:
+def _verify_whitening(scene) -> list[dict]:
+    deviation, tolerance = whitening_covariance_check(scene)
     return [
+        # named after the Monte-Carlo check it replaced; report readers match on it
         _check(
             "whitened-covariance-5se",
-            whitening_covariance_check(scene, seed=seed),
-            5.0,
-            "max |dev| / SE",
+            deviation,
+            tolerance,
+            "exact: max |W Sigma W^H - diag(1/w)| / sqrt(t_i t_j), t = 1/w",
         ),
         _check("mu-root-invariance", whitening_root_invariance(scene), 1e-10),
     ]
@@ -265,7 +277,7 @@ def run_suites(scene, suite: str = "all", seed: int = 0) -> list[dict]:
     """
     suites = {
         "oracle": lambda: _verify_oracle(scene),
-        "whitening": lambda: _verify_whitening(scene, seed),
+        "whitening": lambda: _verify_whitening(scene),
         "duality": lambda: _verify_duality(scene, seed),
     }
     checks: list[dict] = []

@@ -7,8 +7,8 @@ import pytest
 
 from capalink.channel import (
     ChannelPair,
+    channel_pair_planar_oracle,
     correlation_planar,
-    correlation_planar_oracle,
     downlink_snr_coefficient,
     element_channel,
     gain_linear,
@@ -207,7 +207,7 @@ class TestPlanarCorrelation:
 
     def test_agrees_with_oracle(self):
         rho = correlation_planar(APERTURE, USER1, USER2, WL, 40)
-        oracle = correlation_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, _, oracle = channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
         assert abs(abs(rho) - min(abs(oracle), 1.0)) < 5e-4
 
 
@@ -235,7 +235,7 @@ class TestOracleLargeAperture:
 
     def test_correlation_matches_reference(self):
         side = math.sqrt(self.AREA)
-        rho = correlation_planar_oracle(PlanarAperture(side, side), USER1, USER2, WL)
+        _, _, rho = channel_pair_planar_oracle(PlanarAperture(side, side), USER1, USER2, WL)
         assert abs(rho - self.RHO_REF) <= 1e-9 * abs(self.RHO_REF)
 
     def test_gain_at_ten_thousand_square_meters(self):

@@ -5,6 +5,7 @@ import pytest
 
 from capalink import scenario
 from capalink.cli import main
+from capalink.numerics import adaptive_integrate_2d
 from capalink.scenario import scene_defaults, scene_to_dict
 
 
@@ -208,6 +209,17 @@ class TestVerifyCommand:
         assert rep["passed"]
         assert all(c["passed"] for c in rep["checks"])
 
+    def test_report_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        code, out = run(capsys, "verify", "--suite", "all", "--seed", "0")
+        assert code == 0
+        rep = json.loads(out, parse_constant=reject)
+        informational = [c for c in rep["checks"] if c["tolerance"] is None]
+        assert [c["name"] for c in informational] == ["rho-phase-vs-oracle"]
+        assert informational[0]["passed"]
+
     def test_duality_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "duality", "--seed", "42")
         assert code == 0
@@ -266,6 +278,19 @@ class TestDeterminismAndExitCodes:
         monkeypatch.setattr(channel, "gain_planar_oracle", blow_up)
         assert main(["gain", "--oracle"]) == 3
 
+    def test_gain_oracle_integrates_each_statistic_once(self, capsys, monkeypatch):
+        from capalink import channel
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return adaptive_integrate_2d(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "adaptive_integrate_2d", counted)
+        assert main(["gain", "--oracle"]) == 0
+        assert len(calls) == 3
+
     def test_singular_coupled_system_exits_three(self, capsys):
         # a subnormal termination overflows the single-element coupled solve
         argv = ["gain", "--aperture", "spda", "--elements", "1", "--mutual-coupling"]
@@ -282,6 +307,10 @@ class TestDeterminismAndExitCodes:
             ["sweep", "--param", "occupation", "--start", "0.5", "--stop", "2"],
             ["gain", "--aperture", "spda", "--mutual-coupling", "--zt", "-1"],
             ["gain", "--config", "GRID_ZERO"],
+            ["sweep", "--param", "snr", "--start", "nan", "--stop", "10", "--steps", "2"],
+            ["gain", "--aperture", "spda", "--elements", "5", "--mutual-coupling", "--za", "nan"],
+            ["gain", "--mutual-coupling", "--z-scale=-inf"],
+            ["gain", "--no-such-option"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path):

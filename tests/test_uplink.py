@@ -142,7 +142,8 @@ class TestWhitening:
         from capalink.scenario import scene_defaults
         from capalink.verify import whitening_covariance_check
 
-        assert whitening_covariance_check(scene_defaults(), seed=3) < 5.0
+        measured, tolerance = whitening_covariance_check(scene_defaults())
+        assert measured <= tolerance
 
     def test_snr_identical_for_either_root(self):
         g1, g2 = grid_fields(60)
@@ -168,7 +169,7 @@ class TestSicSnrs:
         res = simulate_table1(g1f, g2f, 1e3, 1e4)
         g1 = channel.gain_planar(APERTURE, USER1)
         g2 = channel.gain_planar(APERTURE, USER2)
-        rho = channel.correlation_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
         expected = 1e4 * g2 * (1 - 1e3 * g1 * abs(rho) ** 2 / (1 + 1e3 * g1))
         assert res.gamma2 == pytest.approx(expected, rel=1e-3)
         assert res.gamma1 == pytest.approx(1e3 * g1, rel=1e-3)
@@ -244,7 +245,7 @@ class TestZeroForcing:
         assert abs(inner_product(v1, g2f)) < 1e-10
         snr_scale = abs(inner_product(v1, g1f)) ** 2 / norm_squared(v1)
         g1 = channel.gain_planar(APERTURE, USER1)
-        rho = channel.correlation_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
         assert snr_scale == pytest.approx(g1 * (1 - abs(rho) ** 2), rel=1e-3)
 
 

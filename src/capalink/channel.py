@@ -347,4 +347,7 @@ def downlink_snr_coefficient(rx_area: float, sigma2: float, k0: float, eta: floa
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a float as a linear ratio") from None

@@ -102,6 +102,8 @@ def _override_aperture(scene: Scene, args) -> Scene:
     # SPDA override keeps the physical span and fills it with an odd element
     # count at the requested occupation.
     m = args.elements
+    if m < 1:
+        raise SceneError(f"--elements must be a positive odd count, got {m}")
     d = length_z / m
     occ = args.occupation
     return scenario.with_aperture(

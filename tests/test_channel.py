@@ -9,6 +9,7 @@ from capalink.channel import (
     ChannelPair,
     channel_pair_planar_oracle,
     correlation_planar,
+    db_to_linear,
     downlink_snr_coefficient,
     element_channel,
     gain_linear,
@@ -300,6 +301,11 @@ class TestSnrMaps:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             transmit_snr(0.0, 1.0, 1.0, WL.k0, WL.eta)
+
+    def test_db_overflow_names_the_value(self):
+        assert db_to_linear(3080.0) == pytest.approx(1e308)
+        with pytest.raises(ValueError, match="3090"):
+            db_to_linear(3090.0)
 
 
 class TestClampContract:

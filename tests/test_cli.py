@@ -311,14 +311,21 @@ class TestDeterminismAndExitCodes:
             ["gain", "--aperture", "spda", "--elements", "5", "--mutual-coupling", "--za", "nan"],
             ["gain", "--mutual-coupling", "--z-scale=-inf"],
             ["gain", "--no-such-option"],
+            ["gain", "--aperture", "spda", "--elements", "0"],
+            ["sweep", "--param", "snr", "--start", "1e300", "--stop", "1e308", "--steps", "2"],
+            ["capacity", "--quad-order", "100000000"],
+            ["gain", "--config", "HUGE_ORDER"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path):
-        cfg = scene_to_dict(scene_defaults())
-        cfg["grid"] = [0, 0]
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(cfg))
-        argv = [str(path) if a == "GRID_ZERO" else a for a in argv]
+        configs = {}
+        for name, key, value in [("GRID_ZERO", "grid", [0, 0]),
+                                 ("HUGE_ORDER", "quadrature_order", 100000000)]:
+            cfg = scene_to_dict(scene_defaults())
+            cfg[key] = value
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps(cfg))
+        argv = [str(configs.get(a, a)) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

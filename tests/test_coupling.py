@@ -1,19 +1,28 @@
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capalink
 from capalink import coupling
 from capalink.channel import element_channel, pair_from_vectors
-from capalink.coupling import (
-    CouplingModel,
-    coupled_pair,
-    coupling_matrix,
-    mutual_impedance,
-)
+from capalink.coupling import CouplingModel, coupled_pair, coupling_system
 from capalink.geometry import DiscreteAperture, UserPlacement, Wavelength, element_centers
 from capalink.uplink import SicOrder, sic_rates, sum_capacity_ul
+from dense_coupling import (
+    DenseSystem,
+    coupling_matrix,
+    dense_pair,
+    mutual_impedance,
+    strang_matrix,
+    system_matrix,
+)
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -61,12 +70,52 @@ class TestCouplingMatrix:
         np.testing.assert_allclose(z, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
 
 
+class TestCouplingSystem:
+    @pytest.mark.parametrize("mx, mz", [(5, 3), (3, 7), (1, 1), (9, 9)])
+    def test_operator_matches_dense_matrix(self, mx, mz):
+        a = DiscreteAperture(mx, mz, WL.lam / 3, A_U)
+        model = CouplingModel(z_termination=60.0, impedance_scale=0.12)
+        dense = system_matrix(a, WL, model)
+        system = coupling_system(a, WL, model)
+        x = np.random.default_rng(5).standard_normal((3, a.count, 2)) @ [1.0, 1j]
+        np.testing.assert_allclose(
+            system.matvec(x), x @ dense.T, rtol=0, atol=1e-13 * np.abs(x @ dense.T).max()
+        )
+        assert system.norm1 == pytest.approx(np.linalg.norm(dense, 1), rel=1e-13)
+
+    @pytest.mark.parametrize("mx, mz", [(5, 3), (3, 7), (9, 9)])
+    def test_preconditioner_inverts_the_strang_circulant(self, mx, mz):
+        a = DiscreteAperture(mx, mz, WL.lam / 3, A_U)
+        strang = strang_matrix(a, WL, MODEL)
+        system = coupling_system(a, WL, MODEL)
+        x = np.random.default_rng(6).standard_normal((3, a.count, 2)) @ [1.0, 1j]
+        np.testing.assert_allclose(system.precondition(x @ strang.T), x, rtol=0, atol=1e-12)
+
+
+BOX_CORNERS = [
+    (m, spacing, zt, scale)
+    for m in (15, 41)
+    for spacing in (0.3, 0.5)
+    for zt in (30.0, 80.0)
+    for scale in (0.05, 0.15)
+]
+
+
+def _assert_matches_dense(a, model):
+    ref = dense_pair(a, USER1, USER2, WL, model)
+    got = coupled_pair(a, USER1, USER2, WL, model)
+    assert got.g1 == pytest.approx(ref.g1, rel=1e-12, abs=0.0)
+    assert got.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0)
+    assert abs(got.rho - ref.rho) <= 1e-12 * abs(ref.rho)
+    gap, ref_gap = 1.0 - abs(got.rho) ** 2, 1.0 - abs(ref.rho) ** 2
+    assert gap == pytest.approx(ref_gap, rel=1e-11, abs=0.0)
+
+
 class TestCoupledSolve:
     def test_matches_dense_inverse(self):
         a = DiscreteAperture(25, 25, WL.lam / 3, A_U)
         model = CouplingModel(z_antenna=40.0, z_termination=60.0, impedance_scale=0.12)
-        system = mutual_impedance(a, WL, model) + model.z_termination * np.eye(a.count)
-        c = (model.z_antenna + model.z_termination) * np.linalg.inv(system)
+        c = coupling_matrix(a, WL, model)
         ref = pair_from_vectors(
             c @ element_channel(a, USER1, WL), c @ element_channel(a, USER2, WL)
         )
@@ -75,16 +124,25 @@ class TestCoupledSolve:
         assert got.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0)
         assert abs(got.rho - ref.rho) <= 1e-12 * abs(ref.rho)
 
+    def test_matches_dense_lu_at_41(self):
+        a = DiscreteAperture(41, 41, WL.lam / 3, WL.lam**2 / 18)
+        _assert_matches_dense(a, MODEL)
+
+    @pytest.mark.parametrize("m, spacing, zt, scale", BOX_CORNERS)
+    def test_matches_dense_lu_at_box_corners(self, m, spacing, zt, scale):
+        # the benchmark's coupled arrays: 15^2-41^2, spacing 0.3-0.5 lambda,
+        # z_t 30-80 ohm, impedance scale 0.05-0.15; here |rho| is 0.74-0.9992
+        d = spacing * WL.lam
+        a = DiscreteAperture(m, m, d, 0.5 * d * d)
+        _assert_matches_dense(a, CouplingModel(z_antenna=30.0, z_termination=zt, impedance_scale=scale))
+
     def test_ill_conditioned_system_is_reported(self, monkeypatch, caplog):
         # Z + z_t I = Q diag(s) Q^T with singular values from 1 down to 1e-10
         a = DiscreteAperture(5, 5, WL.lam / 3, A_U)
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((a.count, a.count)))
         system = (q * np.geomspace(1.0, 1e-10, a.count)) @ q.T
         assert np.linalg.cond(system) == pytest.approx(1e10, rel=1e-3)
-        monkeypatch.setattr(
-            coupling, "mutual_impedance",
-            lambda *args: system - MODEL.z_termination * np.eye(a.count),
-        )
+        monkeypatch.setattr(coupling, "coupling_system", lambda *args: DenseSystem(system))
         with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
             coupled_pair(a, USER1, USER2, WL, MODEL)
         assert "ill conditioned" in caplog.text
@@ -99,8 +157,7 @@ class TestCoupledSolve:
         a = DiscreteAperture(3, 3, WL.lam / 3, A_U)
         # rank one: Z + z_t I is the all-ones matrix
         monkeypatch.setattr(
-            coupling, "mutual_impedance",
-            lambda *args: np.ones((a.count, a.count)) - MODEL.z_termination * np.eye(a.count),
+            coupling, "coupling_system", lambda *args: DenseSystem(np.ones((a.count, a.count)))
         )
         with pytest.raises(np.linalg.LinAlgError):
             coupled_pair(a, USER1, USER2, WL, MODEL)
@@ -110,6 +167,26 @@ class TestCoupledSolve:
         a = DiscreteAperture(1, 1, 0.05, A_U)
         with pytest.raises(np.linalg.LinAlgError):
             coupled_pair(a, USER1, USER2, WL, CouplingModel(z_termination=1e-320))
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        # the default 15^2 array needs about 40 steps to reach the tolerance
+        monkeypatch.setattr(coupling, "MAX_ITERATIONS", 5)
+        a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            coupled_pair(a, USER1, USER2, WL, MODEL)
+
+    def test_61_array_gain_peaks_under_100_mb(self):
+        # in a fresh interpreter, which reports its own peak resident set;
+        # a dense 3721 x 3721 system and its LU alone take about 0.5 GB
+        src = str(Path(capalink.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1")
+        script = Path(__file__).with_name("coupled_scale.py")
+        run = subprocess.run([sys.executable, str(script), "61"], capture_output=True,
+                             text=True, env=env, timeout=300)
+        report = json.loads(run.stdout.splitlines()[-1])
+        assert run.returncode == 0 and report["exit"] == 0 and report["strict_json"], report
+        assert report["peak_rss_mb"] < 100.0, report
 
 
 class TestCoupledChannel:

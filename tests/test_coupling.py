@@ -136,6 +136,41 @@ class TestCoupledSolve:
         a = DiscreteAperture(m, m, d, 0.5 * d * d)
         _assert_matches_dense(a, CouplingModel(z_antenna=30.0, z_termination=zt, impedance_scale=scale))
 
+    @pytest.mark.parametrize(
+        "m, spacing, scale",
+        [(1, 0.05, 0.1), (3, 1e6, 0.1)] + [(15, WL.lam / 3, s) for s in np.geomspace(1e-16, 1e-8, 17)],
+    )
+    def test_matches_dense_lu_near_decoupled(self, m, spacing, scale):
+        # a single element, far-apart elements and a vanishing impedance scale
+        # make the preconditioned operator the identity to within rounding:
+        # the Krylov space breaks down at once and the solve must not call
+        # that singular
+        a = DiscreteAperture(m, m, spacing, A_U)
+        _assert_matches_dense(a, CouplingModel(impedance_scale=scale))
+
+    def test_probe_stops_at_its_loose_tolerance(self):
+        a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
+        probe = np.random.default_rng(0).integers(0, 2, a.count) * 2.0 - 1.0
+        rhs = np.vstack([element_channel(a, USER1, WL), element_channel(a, USER2, WL), probe])
+        tol = coupling.RESIDUAL_TOLERANCE
+        system = coupling_system(a, WL, MODEL)
+        _, tight, _ = coupling._gmres(system, rhs, np.array([tol, tol, tol]))
+        _, steps, failures = coupling._gmres(
+            system, rhs, np.array([tol, tol, coupling.PROBE_TOLERANCE])
+        )
+        assert failures == [None, None, None]
+        assert steps[:2] == tight[:2]
+        assert steps[2] < tight[2] / 2
+
+    def test_unconverged_probe_only_warns(self, monkeypatch, caplog):
+        # the users' vectors converge in about 40 steps; the probe never does
+        monkeypatch.setattr(coupling, "PROBE_TOLERANCE", 0.0)
+        monkeypatch.setattr(coupling, "MAX_ITERATIONS", 60)
+        a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
+        with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
+            _assert_matches_dense(a, MODEL)
+        assert "not estimated" in caplog.text and "did not converge" in caplog.text
+
     def test_ill_conditioned_system_is_reported(self, monkeypatch, caplog):
         # Z + z_t I = Q diag(s) Q^T with singular values from 1 down to 1e-10
         a = DiscreteAperture(5, 5, WL.lam / 3, A_U)

@@ -327,15 +327,6 @@ def channel_pair_planar_oracle(
     return g1, g2, cross / math.sqrt(g1 * g2)
 
 
-def transmit_snr(
-    rx_area: float, current_mag2: float, sigma2: float, k0: float, eta: float
-) -> float:
-    "Uplink transmit SNR: A_u^2 |J|^2 k0^2 eta^2 / (4 pi sigma^2)."
-    if min(rx_area, current_mag2, sigma2) <= 0.0:
-        raise ValueError("transmit_snr arguments must be positive")
-    return rx_area**2 * current_mag2 * k0**2 * eta**2 / (4.0 * math.pi * sigma2)
-
-
 def downlink_snr_coefficient(rx_area: float, sigma2: float, k0: float, eta: float) -> float:
     """Per-unit-power downlink SNR coefficient c_k = A_u k0^2 eta^2 / (4 pi sigma^2).
 

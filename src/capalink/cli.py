@@ -112,7 +112,7 @@ def _override_aperture(scene: Scene, args) -> Scene:
 
 
 def _coupling_model(args) -> CouplingModel | None:
-    if not getattr(args, "mutual_coupling", False):
+    if not args.mutual_coupling:
         return None
     return CouplingModel(
         z_antenna=args.za, z_termination=args.zt, impedance_scale=args.z_scale
@@ -230,12 +230,12 @@ def cmd_region(args) -> int:
     ch = scenario.channel_pair(scene, coupling_model=model)
     if args.link == "ul":
         s1, s2 = scene.ul_snr_linear
-        poly = uplink.region_ul(s1, s2, ch)
+        vertices = uplink.region_ul(s1, s2, ch)
     else:
         link = scenario.dual_link(scene, ch)
-        poly = downlink.region_dl(link, n_splits=args.splits)
+        vertices = downlink.region_dl(link, n_splits=args.splits)
     buf = io.StringIO()
-    _write_csv(buf, ["R1", "R2"], [list(v) for v in poly.vertices])
+    _write_csv(buf, ["R1", "R2"], [list(v) for v in vertices])
     _emit(args, buf.getvalue())
     return EXIT_OK
 
@@ -386,6 +386,10 @@ def _add_common(p: argparse.ArgumentParser):
         "--occupation", type=_finite_float, default=1.0, help="SPDA occupation ratio"
     )
     p.add_argument("--elements", type=int, default=41, help="SPDA elements per side")
+
+
+def _add_coupling(p: argparse.ArgumentParser):
+    "Mutual-coupling options, on the commands that compute coupled statistics."
     p.add_argument("--mutual-coupling", action="store_true")
     p.add_argument("--za", type=_finite_float, default=50.0, help="antenna impedance, ohms")
     p.add_argument("--zt", type=_finite_float, default=50.0, help="termination impedance, ohms")
@@ -406,11 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gain", help="channel gains and correlation")
     _add_common(p)
+    _add_coupling(p)
     p.add_argument("--oracle", action="store_true", help="cross-check against adaptive integration")
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("capacity", help="sum rates and per-user rates")
     _add_common(p)
+    _add_coupling(p)
     p.add_argument("--link", choices=["ul", "dl"], default="ul")
     p.add_argument("--scheme", choices=["capacity", "zf"], default="capacity")
     p.add_argument("--dual-trace", action="store_true", help="report the dual power split")
@@ -418,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="capacity region vertices as CSV")
     _add_common(p)
+    _add_coupling(p)
     p.add_argument("--link", choices=["ul", "dl"], default="ul")
     p.add_argument("--splits", type=int, default=201, help="downlink power splits")
     p.set_defaults(func=cmd_region)

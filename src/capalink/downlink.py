@@ -5,9 +5,10 @@ across the two dual users (closed-form KKT split), map the split to source
 currents (forward transform), or recover the dual split from given currents
 (reverse transform).  DPC rates are the dual uplink's SIC rates with the
 order reversed (Vishwanath, Jindal & Goldsmith, IEEE Trans. IT 49, 2003), so
-the rate formulas live in uplink only.  ZF precoding with two-channel
-water-filling and the convex-hull capacity region are built on the same
-statistics.
+the rate formulas live in uplink only.  The sum capacity is one closed form
+at the optimal split.  ZF precoding with two-channel water-filling and the
+capacity region, the convex hull of the dual pentagons as a tuple of
+counterclockwise vertices, are built on the same statistics.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .numerics import (
     integrate_product,
     norm_squared,
 )
-from .regions import RegionPolygon, convex_hull
-from .uplink import Rates, SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
+from .regions import convex_hull
+from .uplink import Rates, SicOrder, region_ul, sic_rates
 
 RHO_BAR_FLOOR = 1e-12
 "Below this separability the KKT threshold is undefined (coincident users)."
@@ -69,16 +70,6 @@ class DualPowerSplit:
         return self.p1 + self.p2
 
 
-def mrt_current(h: SampledField, power: float) -> SampledField:
-    "Source current aligned with the conjugate channel, carrying the given power."
-    if power < 0.0:
-        raise ValueError("power must be nonnegative")
-    hh = norm_squared(h)
-    if hh <= 0.0:
-        raise ValueError("cannot build an MRT current from a zero field")
-    return SampledField(h.grid, math.sqrt(power / hh) * np.conj(h.values))
-
-
 def kkt_threshold(link: DualLink) -> float:
     """Threshold xi deciding the dual power split.
 
@@ -116,11 +107,6 @@ def dual_power_allocation(link: DualLink) -> DualPowerSplit:
     )
 
 
-def dual_objective(link: DualLink, p1: float, p2: float) -> float:
-    "Dual-uplink sum rate at an arbitrary feasible split."
-    return sum_capacity_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
-
-
 def dpc_rates(link: DualLink, p1: float, p2: float, order: SicOrder) -> Rates:
     """Per-user downlink rates under dirty-paper coding at a given split.
 
@@ -134,17 +120,13 @@ def dpc_rates(link: DualLink, p1: float, p2: float, order: SicOrder) -> Rates:
 
 
 def sum_capacity_dl(link: DualLink) -> float:
-    """Piecewise downlink sum capacity at the optimal dual power split.
+    """Downlink sum capacity log2(1 + e1 + e2 + e1 e2 rho_bar) at the optimal
+    dual power split, with e_k = snr_k(P_k*) g_k.
 
-    Single-user branches when the KKT threshold leaves the budget interval,
-    otherwise the interior value with e_k = snr_k(P_k*) g_k.
+    At a corner split one e_k is 0, and the expression is the other user's
+    single-user capacity at the full budget, bit for bit.
     """
     split = dual_power_allocation(link)
-    p = link.power
-    if split.branch in ("all-to-1", "coincident-1"):
-        return su_capacity(link.snr_at(0, p), link.ch.g1)
-    if split.branch in ("all-to-2", "coincident-2"):
-        return su_capacity(link.snr_at(1, p), link.ch.g2)
     e1 = link.snr_at(0, split.p1) * link.ch.g1
     e2 = link.snr_at(1, split.p2) * link.ch.g2
     return math.log2(1.0 + e1 + e2 + e1 * e2 * link.ch.rho_bar)
@@ -310,7 +292,7 @@ def dual_from_currents(
     return DualPowerSplit(p1=p1, p2=p2, budget=budget, xi=math.nan, branch="from-currents")
 
 
-def region_dl(link: DualLink, n_splits: int = 201) -> RegionPolygon:
+def region_dl(link: DualLink, n_splits: int = 201) -> tuple:
     """Downlink capacity region: convex hull of the dual-uplink pentagons.
 
     Sweeps n_splits evenly spaced power splits (P1, P - P1); each split
@@ -324,6 +306,5 @@ def region_dl(link: DualLink, n_splits: int = 201) -> RegionPolygon:
         # the last quotient can round above the budget, leaving p2 < 0
         p1 = min(link.power * i / (n_splits - 1), link.power)
         p2 = link.power - p1
-        pentagon = region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
-        pts.extend(pentagon.vertices)
-    return RegionPolygon(vertices=tuple(convex_hull(pts)))
+        pts.extend(region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch))
+    return tuple(convex_hull(pts))

@@ -1,14 +1,15 @@
 """Quadrature rules, the adaptive integration oracle, and aperture grids.
 
-Three layers live here.  Chebyshev-Gauss rules evaluate the closed-form
-correlation sums.  A globally adaptive Gauss-Kronrod integrator acts as the
-brute-force oracle every closed form is checked against: its leaf panels
-live in numpy arrays, and each refinement pass evaluates all new panels'
-tensor 7-15 nodes in bounded batches with one integrand call per batch,
-then splits every panel whose error estimate exceeds its share of the
-tolerance (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).  Cell-centered
-aperture grids with quadrature weights carry the discretized detector /
-current / noise fields used by the operator pipelines.
+Three layers live here.  Chebyshev-Gauss nodes and weights feed the
+closed-form correlation sums in channel.correlation_on_rule.  A globally
+adaptive 2-D Gauss-Kronrod integrator acts as the brute-force oracle every
+closed form is checked against: its leaf panels live in numpy arrays, and
+each refinement pass evaluates all new panels' tensor 7-15 nodes in bounded
+batches with one integrand call per batch, then splits every panel whose
+error estimate exceeds its share of the tolerance (Berntsen, Espelid &
+Genz, ACM TOMS 17, 1991).  Cell-centered aperture grids with quadrature
+weights carry the discretized detector and noise fields of the operator
+pipelines that verify runs.
 """
 
 from __future__ import annotations
@@ -72,36 +73,6 @@ def chebyshev_nodes(n: int) -> ChebyshevRule:
     nodes = np.cos((2 * j - 1) * math.pi / (2 * n))
     nodes.setflags(write=False)
     return ChebyshevRule(order=n, nodes=nodes)
-
-
-def cg_integrate_1d(f, half_width: float, rule: ChebyshevRule) -> complex:
-    """Integrate f over [-half_width, half_width] with the Chebyshev rule.
-
-    Evaluates (pi a / n) * sum_j sqrt(1 - psi_j^2) f(a psi_j).  The integrand
-    must be vectorized over a numpy array of abscissae.
-    """
-    x = half_width * rule.nodes
-    vals = np.asarray(f(x))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values")
-    s = np.sum(rule.sqrt_weights * vals)
-    return complex(math.pi * half_width / rule.order * s)
-
-
-def cg_integrate_2d(f, half_x: float, half_z: float, rule: ChebyshevRule) -> complex:
-    """Tensor-product Chebyshev rule over [-half_x, half_x] x [-half_z, half_z].
-
-    f(x, z) must broadcast over a (n, 1) x-column and (1, n) z-row.
-    """
-    n = rule.order
-    x = (half_x * rule.nodes)[:, None]
-    z = (half_z * rule.nodes)[None, :]
-    vals = np.asarray(f(x, z))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values")
-    w = rule.sqrt_weights
-    s = np.sum(w[:, None] * w[None, :] * vals)
-    return complex((math.pi**2 * half_x * half_z) / n**2 * s)
 
 
 ORACLE_CHUNK_NODES = 100_000
@@ -179,23 +150,6 @@ def _adaptive_integrate(f, lo, hi, rel_tol, abs_floor, max_panels):
         centers = np.concatenate([centers[keep], new_c])
         halves = np.concatenate([halves[keep], new_h])
         vals, errs = vals[keep], errs[keep]
-
-
-def adaptive_integrate_1d(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    abs_floor: float = 1e-14,
-    max_panels: int = 4096,
-) -> complex:
-    """Adaptive Gauss-Kronrod integration of a (complex) vectorized integrand.
-
-    Globally adaptive: panels are bisected in batches until the summed error
-    estimate drops below max(rel_tol * |integral|, abs_floor).  f receives
-    a (panels, 15) array of abscissae.
-    """
-    return _adaptive_integrate(f, [a], [b], rel_tol, abs_floor, max_panels)
 
 
 def adaptive_integrate_2d(

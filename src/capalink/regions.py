@@ -1,8 +1,9 @@
-"""Rate-region polygons and the convex hull used to merge dual regions."""
+"""The convex hull that merges the dual-uplink pentagons into a region.
+
+A rate region is the tuple of its counterclockwise (R1, R2) vertices.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 HULL_EPS = 1e-12
 "Collinearity epsilon for hull cross products on rate values."
@@ -31,49 +32,3 @@ def convex_hull(points, eps: float = HULL_EPS):
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-@dataclass(frozen=True)
-class RegionPolygon:
-    "Achievable-rate region boundary: CCW-ordered (R1, R2) vertices."
-
-    vertices: tuple
-
-    @property
-    def area(self) -> float:
-        "Shoelace area; nonnegative for CCW vertex order."
-        v = self.vertices
-        n = len(v)
-        if n < 3:
-            return 0.0
-        s = 0.0
-        for i in range(n):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % n]
-            s += x0 * y1 - x1 * y0
-        return 0.5 * s
-
-    def contains(self, point, eps: float = 1e-9) -> bool:
-        "Point-in-convex-polygon test (CCW boundary counted as inside)."
-        v = self.vertices
-        n = len(v)
-        if n == 0:
-            return False
-        if n == 1:
-            return abs(point[0] - v[0][0]) <= eps and abs(point[1] - v[0][1]) <= eps
-        for i in range(n):
-            if _cross(v[i], v[(i + 1) % n], point) < -eps:
-                return False
-        return True
-
-    def max_sum_rate(self) -> float:
-        return max((x + y for x, y in self.vertices), default=0.0)
-
-    def is_convex(self, eps: float = HULL_EPS) -> bool:
-        v = self.vertices
-        n = len(v)
-        if n < 4:
-            return True
-        return all(
-            _cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) >= -eps for i in range(n)
-        )

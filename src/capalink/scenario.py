@@ -38,9 +38,6 @@ MAX_QUADRATURE_ORDER = 10000
 """Largest Chebyshev rule order a scene accepts.  The correlation rule costs
 order^2: order 1000 takes 0.05 s, order 10000 about 5 s and 80 MB."""
 
-DEFAULT_GRID = (200, 200)
-
-
 class SceneError(ValueError):
     "A scene failed validation."
 
@@ -60,7 +57,6 @@ class Scene:
     dl_sum_snr_db: float | None = None
     dl_power: float | None = None
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
-    grid_resolution: tuple[int, int] = DEFAULT_GRID
 
     def __post_init__(self):
         if len(self.users) not in (1, 2):
@@ -73,8 +69,6 @@ class Scene:
             raise SceneError(
                 f"quadrature order must be <= {MAX_QUADRATURE_ORDER}, got {self.quadrature_order}"
             )
-        if min(self.grid_resolution) < 1:
-            raise SceneError("grid resolution must be >= 1 point per axis")
 
     @property
     def is_two_user(self) -> bool:
@@ -170,19 +164,6 @@ def validate(scene: Scene) -> list[Finding]:
                         "coding brings no gain over the stronger user",
                     )
                 )
-    if not isinstance(ap, DiscreteAperture):
-        nx, nz = scene.grid_resolution
-        span_x = ap.length_x
-        span_z = ap.length_z
-        quarter = scene.wavelength.lam / 4.0
-        if span_x / nx > quarter or span_z / nz > quarter:
-            findings.append(
-                Finding(
-                    "warning",
-                    "grid resolution is below 4 points per wavelength; operator "
-                    "pipelines may under-resolve the kernel phase",
-                )
-            )
     return findings
 
 
@@ -288,7 +269,6 @@ _SCENE_KEYS = {
     "downlink_sum_snr_db",
     "downlink_power",
     "quadrature_order",
-    "grid",
 }
 _APERTURE_KEYS = {
     "planar": {"type", "length_x", "length_z"},
@@ -355,7 +335,6 @@ def scene_from_dict(cfg: dict) -> Scene:
                 )
             )
             snrs.append(_number(u_cfg, "snr_db", 30.0))
-        grid = cfg.get("grid", list(DEFAULT_GRID))
         return Scene(
             wavelength=wl,
             aperture=ap,
@@ -366,7 +345,6 @@ def scene_from_dict(cfg: dict) -> Scene:
             ),
             dl_power=_number(cfg, "downlink_power") if "downlink_power" in cfg else None,
             quadrature_order=int(cfg.get("quadrature_order", DEFAULT_QUADRATURE_ORDER)),
-            grid_resolution=(int(grid[0]), int(grid[1])),
         )
     except SceneError:
         raise
@@ -409,7 +387,6 @@ def scene_to_dict(scene: Scene) -> dict:
             for u, snr in zip(scene.users, scene.ul_snr_db)
         ],
         "quadrature_order": scene.quadrature_order,
-        "grid": list(scene.grid_resolution),
     }
     if scene.dl_sum_snr_db is not None:
         cfg["downlink_sum_snr_db"] = scene.dl_sum_snr_db

@@ -1,8 +1,10 @@
 """Uplink capacity: MRC, interference whitening, SIC, ZF, and the rate region.
 
-Closed forms take the (gain, gain, correlation) statistics; the grid-based
-routines re-derive the same SNRs from discretized fields and are used to
-cross-check the algebra end to end.
+Closed forms take the (gain, gain, correlation) statistics; the rate region
+is the tuple of its counterclockwise vertices.  The grid-based routines (the
+MRC detector, the whitening operator and the SIC pipeline) re-derive the
+same SNRs from discretized fields, and verify uses them to cross-check the
+algebra end to end.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .channel import ChannelPair
 from .numerics import SampledField, inner_product, norm_squared, sample_noise_batch
-from .regions import RegionPolygon
 
 log = logging.getLogger(__name__)
 
@@ -80,23 +81,11 @@ def whitening_mu(gamma1: float, g1: float, root: MuRoot = MuRoot.VANISHING) -> f
     return -1.0 / g1 - 1.0 / (g1 * s)
 
 
-def whitening_mu_residual(mu: float, gamma1: float, g1: float) -> float:
-    "Residual of the defining quadratic; zero for both admissible roots."
-    return (
-        2.0 * mu
-        + gamma1
-        + 2.0 * mu * gamma1 * g1
-        + mu**2 * g1
-        + gamma1 * mu**2 * g1**2
-    )
-
-
 @dataclass(frozen=True)
 class WhiteningOperator:
     """Rank-one update delta(r' - r) + mu1 G1(r') G1*(r) on a grid.
 
-    apply() whitens interference-plus-noise colored by the user-1 channel;
-    apply_inverse() is its exact inverse, so the transform is lossless.
+    apply() whitens interference-plus-noise colored by the user-1 channel.
     """
 
     g1_field: SampledField
@@ -113,11 +102,6 @@ class WhiteningOperator:
 
     def apply(self, f: SampledField) -> SampledField:
         return f.plus(self.g1_field, self.mu1 * inner_product(self.g1_field, f))
-
-    def apply_inverse(self, f: SampledField) -> SampledField:
-        mu = self.mu1
-        coeff = -mu / (1.0 + mu * self.g1)
-        return f.plus(self.g1_field, coeff * inner_product(self.g1_field, f))
 
 
 def whitening_build(
@@ -169,18 +153,8 @@ def zf_sum_rate_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> float:
     return math.log2(1.0 + gamma1 * ch.g1 * rb) + math.log2(1.0 + gamma2 * ch.g2 * rb)
 
 
-def zf_detector(h_k: SampledField, h_other: SampledField) -> SampledField:
-    "Projection of h_k onto the orthogonal complement of the other channel."
-    denom = norm_squared(h_other)
-    if denom <= 0.0:
-        raise ValueError("interfering channel has zero norm")
-    # coefficient is int h_k h_other* / int |h_other|^2 = conj(<h_k, h_other>)/...
-    coeff = np.conj(inner_product(h_k, h_other)) / denom
-    return h_k.plus(h_other, -coeff)
-
-
-def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> RegionPolygon:
-    """Pentagon capacity region with CCW vertices.
+def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> tuple:
+    """Pentagon capacity region as its tuple of CCW (R1, R2) vertices.
 
     Corners are the two SIC operating points; degenerate vertices (zero side
     lengths, no inter-user interference) are merged.
@@ -206,7 +180,7 @@ def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> RegionPolygon:
         out[0][1], out[-1][1], abs_tol=1e-12
     ):
         out.pop()
-    return RegionPolygon(vertices=tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

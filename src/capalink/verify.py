@@ -32,8 +32,8 @@ from .downlink import (
     rates_from_currents,
 )
 from .geometry import PlanarAperture
-from .numerics import inner_product, norm_squared, sample_noise_batch, uniform_grid
-from .uplink import MuRoot, SicOrder, mrc_detector, simulate_table1, whitening_build
+from .numerics import inner_product, norm_squared, uniform_grid
+from .uplink import MuRoot, SicOrder, simulate_table1, whitening_build
 
 log = logging.getLogger(__name__)
 
@@ -44,11 +44,9 @@ def _planar_or_raise(scene) -> PlanarAperture:
     return scene.aperture
 
 
-def grid_fields(scene, resolution=None):
-    "Channel responses of both users sampled on a uniform aperture grid."
-    ap = _planar_or_raise(scene)
-    nx, nz = resolution or scene.grid_resolution
-    grid = uniform_grid(ap, nx, nz)
+def grid_fields(scene, resolution):
+    "Channel responses of both users sampled on a uniform (n_x, n_z) aperture grid."
+    grid = uniform_grid(_planar_or_raise(scene), *resolution)
     return tuple(channel.sample_kernel(scene.wavelength, u, grid) for u in scene.users)
 
 
@@ -62,7 +60,8 @@ def whitened_covariance_deviation(g1_field, snr1: float, mu1: float) -> float:
     W = I + mu1 g (w * conj(g))^T is the grid whitening update and
     Sigma = snr1 g g^H + diag(t) the covariance of sqrt(snr1) G1 s1 + N at unit
     noise intensity.  The difference is exactly c g g^H with
-    c = whitening_mu_residual(mu1, snr1, g1), so the result is
+    c = 2 mu1 + snr1 + 2 mu1 snr1 g1 + mu1^2 g1 + snr1 mu1^2 g1^2, the
+    residual of the quadratic that defines mu1, so the result is
     |c| max(w |g|^2): zero at either root up to roundoff, which grows like
     eps snr1 g1.
     """
@@ -90,20 +89,6 @@ def whitening_covariance_check(scene, resolution=(4, 4)) -> tuple[float, float]:
     return whitened_covariance_deviation(g1_field, snr1, op.mu1), tolerance
 
 
-def projected_noise_variance_check(
-    scene, seed: int = 0, draws: int = 100_000, sigma2: float = 1.0, resolution=(4, 4)
-) -> float:
-    """Relative error of Var(<V, N>) against sigma2 for a unit-norm detector."""
-    g1_field = grid_fields(scene, resolution)[0]
-    detector = mrc_detector(g1_field)
-    if abs(inner_product(detector, detector) - 1.0) > 1e-12:
-        raise RuntimeError("detector failed to normalize on this grid")
-    noise = sample_noise_batch(g1_field.grid, sigma2, seed, draws)
-    proj = noise @ (g1_field.grid.weights * np.conj(detector.values))
-    var = float(np.mean(np.abs(proj) ** 2))
-    return abs(var - sigma2) / sigma2
-
-
 def whitening_root_invariance(scene, resolution=(60, 60)) -> float:
     "Relative gap of the pipeline SNR for user 2 across both mu roots."
     g1_field, g2_field = grid_fields(scene, resolution)
@@ -111,35 +96,6 @@ def whitening_root_invariance(scene, resolution=(60, 60)) -> float:
     a = simulate_table1(g1_field, g2_field, s1, s2, root=MuRoot.VANISHING)
     b = simulate_table1(g1_field, g2_field, s1, s2, root=MuRoot.ALTERNATE)
     return abs(a.gamma2 - b.gamma2) / a.gamma2
-
-
-def table1_closed_form_gap(scene, resolution=None) -> dict:
-    """Discretized SIC pipeline vs the closed-form post-whitening SNR.
-
-    The closed form uses the arctan gains and the adaptive-oracle correlation,
-    so the gap measures pure grid error of the operator pipeline.
-    """
-    ap = _planar_or_raise(scene)
-    g1_field, g2_field = grid_fields(scene, resolution)
-    s1, s2 = scene.ul_snr_linear
-    res = simulate_table1(
-        g1_field, g2_field, s1, s2, wavelength=scene.wavelength.lam
-    )
-    g1 = channel.gain_planar(ap, scene.users[0])
-    g2 = channel.gain_planar(ap, scene.users[1])
-    rho = channel.channel_pair_planar_oracle(ap, *scene.users, scene.wavelength)[2]
-    r2 = min(abs(rho), 1.0) ** 2
-    gamma2_closed = s2 * g2 * (1.0 - s1 * g1 * r2 / (1.0 + s1 * g1))
-    gamma1_closed = s1 * g1
-    return {
-        "gamma1_pipeline": res.gamma1,
-        "gamma2_pipeline": res.gamma2,
-        "gamma1_closed": gamma1_closed,
-        "gamma2_closed": gamma2_closed,
-        "gamma1_gap": abs(res.gamma1 - gamma1_closed) / gamma1_closed,
-        "gamma2_gap": abs(res.gamma2 - gamma2_closed) / gamma2_closed,
-        "residual_projection": res.residual_projection,
-    }
 
 
 def duality_round_trip(scene, seed: int = 0, resolution=(48, 48)) -> dict:

@@ -315,6 +315,9 @@ class TestDeterminismAndExitCodes:
             ["sweep", "--param", "snr", "--start", "1e300", "--stop", "1e308", "--steps", "2"],
             ["capacity", "--quad-order", "100000000"],
             ["gain", "--config", "HUGE_ORDER"],
+            ["scene", "print", "--mutual-coupling"],
+            ["verify", "--za", "70"],
+            ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--z-scale", "0.2"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path):

@@ -10,9 +10,7 @@ from capalink.downlink import (
     currents_from_dual,
     dpc_rates,
     dual_from_currents,
-    dual_objective,
     dual_power_allocation,
-    mrt_current,
     rates_from_currents,
     region_dl,
     sum_capacity_dl,
@@ -22,6 +20,7 @@ from capalink.downlink import (
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
 from capalink.numerics import SampledField, integrate_product, norm_squared, uniform_grid
 from capalink.uplink import SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
+from references import contains, dual_objective, is_convex, max_sum_rate, mrt_current
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -307,6 +306,33 @@ class TestSumCapacityDl:
         )
         assert sum_capacity_dl(link) == pytest.approx(su_capacity(200.0, 0.4))
 
+    def test_every_branch_random_links(self):
+        # one expression on every branch: at a corner it is the single-user
+        # capacity at the full budget, bit for bit
+        rng = np.random.default_rng(23)
+        hits = dict.fromkeys(
+            ["interior", "all-to-1", "all-to-2", "coincident-1", "coincident-2"], 0
+        )
+        for _ in range(4000):
+            g1, g2 = 10.0 ** rng.uniform(-6.0, math.log10(0.499), size=2)
+            mag = 1.0 if rng.uniform() < 0.2 else rng.uniform(0.0, 0.999)
+            link = DualLink(
+                ch=ChannelPair(g1=g1, g2=g2, rho=mag * np.exp(2j * math.pi * rng.uniform())),
+                snr_per_power=tuple(10.0 ** rng.uniform(0.0, 5.0, size=2)),
+                power=10.0 ** rng.uniform(-2.0, 2.0),
+            )
+            split = dual_power_allocation(link)
+            hits[split.branch] += 1
+            if split.branch in ("all-to-1", "coincident-1"):
+                assert sum_capacity_dl(link) == su_capacity(link.snr_at(0, link.power), g1)
+            elif split.branch in ("all-to-2", "coincident-2"):
+                assert sum_capacity_dl(link) == su_capacity(link.snr_at(1, link.power), g2)
+            else:
+                assert sum_capacity_dl(link) == pytest.approx(
+                    dual_objective(link, split.p1, split.p2), rel=1e-12
+                )
+        assert min(hits.values()) >= 100, hits
+
     def test_equals_dpc_sum_at_optimal_split(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
@@ -362,8 +388,8 @@ class TestRegionDl:
         poly = region_dl(link, n_splits=2)
         c1 = su_capacity(link.snr_at(0, link.power), link.ch.g1)
         c2 = su_capacity(link.snr_at(1, link.power), link.ch.g2)
-        assert poly.contains((c1, 0.0), eps=1e-9)
-        assert poly.contains((0.0, c2), eps=1e-9)
+        assert contains(poly, (c1, 0.0), eps=1e-9)
+        assert contains(poly, (0.0, c2), eps=1e-9)
 
     def test_hull_contains_every_pentagon_vertex(self):
         rng = np.random.default_rng(14)
@@ -372,19 +398,19 @@ class TestRegionDl:
         for i in range(31):
             p1 = link.power * i / 30
             pent = region_ul(link.snr_at(0, p1), link.snr_at(1, link.power - p1), link.ch)
-            for v in pent.vertices:
-                assert poly.contains(v, eps=1e-9)
+            for v in pent:
+                assert contains(poly, v, eps=1e-9)
 
     def test_hull_is_convex(self):
         rng = np.random.default_rng(15)
         link = random_link(rng, power=3.0)
-        assert region_dl(link, n_splits=51).is_convex()
+        assert is_convex(region_dl(link, n_splits=51))
 
     def test_max_sum_rate_attains_capacity(self):
         rng = np.random.default_rng(16)
         link = random_link(rng, power=8.0)
         poly = region_dl(link, n_splits=1001)
-        assert poly.max_sum_rate() == pytest.approx(sum_capacity_dl(link), rel=1e-6)
+        assert max_sum_rate(poly) == pytest.approx(sum_capacity_dl(link), rel=1e-6)
 
     @pytest.mark.parametrize(
         "power, n_splits",
@@ -395,7 +421,7 @@ class TestRegionDl:
         link = random_link(np.random.default_rng(17), power=power)
         poly = region_dl(link, n_splits=n_splits)
         c1 = su_capacity(link.snr_at(0, power), link.ch.g1)
-        assert max(v[0] for v in poly.vertices) == c1
+        assert max(v[0] for v in poly) == c1
 
 
 class TestSceneLevelDuality:

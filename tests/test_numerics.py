@@ -7,10 +7,7 @@ from capalink import channel, numerics
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
 from capalink.numerics import (
     NonConvergenceError,
-    adaptive_integrate_1d,
     adaptive_integrate_2d,
-    cg_integrate_1d,
-    cg_integrate_2d,
     chebyshev_nodes,
     inner_product,
     sample_noise_batch,
@@ -18,6 +15,7 @@ from capalink.numerics import (
     ApertureGrid,
     SampledField,
 )
+from references import adaptive_integrate_1d, cg_integrate_1d, cg_integrate_2d
 
 WL = Wavelength(0.125)
 USER1 = UserPlacement(10.0, math.pi / 6, math.pi / 3, WL.isotropic_rx_area)

@@ -128,9 +128,10 @@ class TestConfigSchema:
             scene_from_dict(cfg)
 
     def test_empty_grid_rejected(self):
+        # no command computes on a grid from the scene; the key is unknown
         cfg = scene_to_dict(scene_defaults())
         cfg["grid"] = [0, 0]
-        with pytest.raises(SceneError, match="grid resolution"):
+        with pytest.raises(SceneError, match=r"unknown scene keys: \['grid'\]"):
             scene_from_dict(cfg)
 
 

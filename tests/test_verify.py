@@ -5,13 +5,14 @@ import pytest
 
 from capalink.geometry import PlanarAperture
 from capalink.scenario import scene_defaults, scene_from_dict, with_aperture
-from capalink.uplink import MuRoot, whitening_mu, whitening_mu_residual
+from capalink.uplink import MuRoot, whitening_mu
 from capalink.verify import (
     WHITENING_ROUNDOFF,
     grid_fields,
     whitened_covariance_deviation,
     whitening_covariance_check,
 )
+from references import whitening_mu_residual
 
 # users in different directions on a 1.18 m aperture, where the order-20
 # correlation rule is off (the benchmark's fault-(c) geometry)

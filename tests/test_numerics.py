@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from capalink import channel, numerics
-from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
-from capalink.numerics import (
-    NonConvergenceError,
-    adaptive_integrate_2d,
-    chebyshev_nodes,
-    inner_product,
+from capalink.geometry import DiscreteAperture, PlanarAperture, UserPlacement, Wavelength
+from capalink.numerics import NonConvergenceError, adaptive_integrate_2d, chebyshev_nodes
+from references import (
+    adaptive_integrate_1d,
+    cg_integrate_1d,
+    cg_integrate_2d,
+    mrc_detector,
     sample_noise_batch,
-    uniform_grid,
-    ApertureGrid,
-    SampledField,
 )
-from references import adaptive_integrate_1d, cg_integrate_1d, cg_integrate_2d
 
 WL = Wavelength(0.125)
 USER1 = UserPlacement(10.0, math.pi / 6, math.pi / 3, WL.isotropic_rx_area)
@@ -181,113 +178,124 @@ class TestCgConvergenceAgainstOracle:
             assert cur <= 1.1 * prev
 
 
+def cell_centers(a, n_x, n_z):
+    "Cell centers of a uniform grid in element order (x varies fastest)."
+    xs = (np.arange(n_x) + 0.5) / n_x * a.length_x - a.length_x / 2.0
+    zs = (np.arange(n_z) + 0.5) / n_z * a.length_z - a.length_z / 2.0
+    gz, gx = np.meshgrid(zs, xs, indexing="ij")
+    return gx.ravel(), gz.ravel()
+
+
+def uniform_weights(a, n_x, n_z):
+    "Cell areas of a uniform n_x by n_z grid on the aperture."
+    return np.full(n_x * n_z, a.area / (n_x * n_z))
+
+
 class TestGrids:
     def test_single_cell(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 1, 1)
-        np.testing.assert_allclose(g.points, [[0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(g.weights, [1.0])
+        h = channel.grid_channel(PlanarAperture(1.0, 1.0), USER1, WL, 1, 1)
+        np.testing.assert_allclose(h, [channel.kernel_Q(WL, USER1, 0.0, 0.0)], rtol=1e-15)
 
     def test_two_by_two(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 2, 2)
-        assert sorted(map(tuple, np.round(g.points, 12))) == [
-            (-0.25, 0.0, -0.25),
-            (-0.25, 0.0, 0.25),
-            (0.25, 0.0, -0.25),
-            (0.25, 0.0, 0.25),
-        ]
-        np.testing.assert_allclose(g.weights, 0.25)
+        h = channel.grid_channel(PlanarAperture(1.0, 1.0), USER1, WL, 2, 2)
+        x = np.array([-0.25, 0.25, -0.25, 0.25])
+        z = np.array([-0.25, -0.25, 0.25, 0.25])
+        np.testing.assert_allclose(h, 0.5 * channel.kernel_Q(WL, USER1, x, z), rtol=1e-13)
 
     def test_weights_partition_area(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             lx, lz = rng.uniform(0.1, 3.0, size=2)
-            g = uniform_grid(PlanarAperture(lx, lz), rng.integers(1, 40), rng.integers(1, 40))
-            assert g.area == pytest.approx(lx * lz, rel=1e-10)
+            a = PlanarAperture(lx, lz)
+            n_x, n_z = rng.integers(1, 40, size=2)
+            h = channel.grid_channel(a, USER1, WL, n_x, n_z)
+            q = channel.kernel_Q(WL, USER1, *cell_centers(a, n_x, n_z))
+            assert np.sum(np.abs(h / q) ** 2) == pytest.approx(lx * lz, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 41, 61])
+    @pytest.mark.parametrize("side", [0.5, 3.0, 30.0])
+    def test_equals_element_channel_of_the_filled_array(self, n, side):
+        # one format: a grid is the fully occupied array of the same cells
+        h = channel.grid_channel(PlanarAperture(side, side), USER1, WL, n, n)
+        d = side / n
+        e = channel.element_channel(DiscreteAperture(n, n, d, d * d), USER1, WL)
+        assert np.max(np.abs(h - e)) <= 1e-12 * np.max(np.abs(e))
 
 
 class TestInnerProduct:
+    "Element-domain vdot equals the weighted sum sum_i w_i conj(u_i) v_i."
+
     def test_unit_constant(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 4, 4)
-        one = SampledField(g, np.ones(g.size, dtype=complex))
-        assert inner_product(one, one) == pytest.approx(1.0)
+        w = uniform_weights(PlanarAperture(1.0, 1.0), 4, 4)
+        one = np.sqrt(w) * np.ones(w.size, dtype=complex)
+        assert np.vdot(one, one) == pytest.approx(1.0)
 
     def test_orthogonal_pattern(self):
-        g = ApertureGrid(points=np.zeros((2, 3)), weights=np.array([0.5, 0.5]))
-        u = SampledField(g, np.array([1.0 + 0j, 1.0 + 0j]))
-        v = SampledField(g, np.array([1.0 + 0j, -1.0 + 0j]))
-        assert inner_product(u, v) == pytest.approx(0.0, abs=1e-15)
+        w = np.array([0.5, 0.5])
+        u = np.sqrt(w) * np.array([1.0 + 0j, 1.0 + 0j])
+        v = np.sqrt(w) * np.array([1.0 + 0j, -1.0 + 0j])
+        assert np.vdot(u, v) == pytest.approx(0.0, abs=1e-15)
 
     def test_kernel_energy_on_fine_grid(self):
         a = PlanarAperture(0.5, 0.5)
-        g = uniform_grid(a, 200, 200)
-        field = channel.sample_kernel(WL, USER1, g)
-        assert inner_product(field, field).real == pytest.approx(
-            channel.gain_planar(a, USER1), rel=1e-4
-        )
+        h = channel.grid_channel(a, USER1, WL, 200, 200)
+        assert np.vdot(h, h).real == pytest.approx(channel.gain_planar(a, USER1), rel=1e-4)
 
     def test_conjugate_symmetry_and_positivity(self):
         rng = np.random.default_rng(3)
-        g = uniform_grid(PlanarAperture(0.3, 0.7), 5, 3)
+        w = uniform_weights(PlanarAperture(0.3, 0.7), 5, 3)
         for _ in range(20):
-            u = SampledField(g, rng.standard_normal(15) + 1j * rng.standard_normal(15))
-            v = SampledField(g, rng.standard_normal(15) + 1j * rng.standard_normal(15))
-            lhs = inner_product(u, v)
-            rhs = np.conj(inner_product(v, u))
+            fu = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+            fv = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+            u, v = np.sqrt(w) * fu, np.sqrt(w) * fv
+            lhs = np.vdot(u, v)
+            assert abs(lhs - np.sum(w * np.conj(fu) * fv)) <= 1e-12 * max(1.0, abs(lhs))
+            rhs = np.conj(np.vdot(v, u))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-            uu = inner_product(u, u)
+            uu = np.vdot(u, u)
             assert abs(uu.imag) < 1e-14 and uu.real >= 0.0
-
-    def test_grid_mismatch_rejected(self):
-        g1 = uniform_grid(PlanarAperture(1.0, 1.0), 2, 2)
-        g2 = uniform_grid(PlanarAperture(1.0, 1.0), 4, 1)
-        u = SampledField(g1, np.ones(4, dtype=complex))
-        v = SampledField(g2, np.ones(4, dtype=complex))
-        with pytest.raises(ValueError):
-            inner_product(u, v)
 
 
 class TestNoiseField:
     SIGMA2 = 2.5
 
     def test_zero_mean(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 3, 3)
-        draws = sample_noise_batch(g, self.SIGMA2, seed=11, draws=100_000)
+        w = uniform_weights(PlanarAperture(1.0, 1.0), 3, 3)
+        draws = sample_noise_batch(w, self.SIGMA2, seed=11, draws=100_000)
         # SE of the mean of each complex sample is sqrt(sigma2/w/N)
-        se = np.sqrt(self.SIGMA2 / g.weights / draws.shape[0])
+        se = np.sqrt(self.SIGMA2 / w / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0)) < 5 * se)
 
     def test_projected_variance(self):
-        g = uniform_grid(PlanarAperture(0.5, 0.5), 4, 4)
-        field = channel.sample_kernel(WL, USER1, g)
-        from capalink.uplink import mrc_detector
-
-        det = mrc_detector(field)
-        draws = sample_noise_batch(g, self.SIGMA2, seed=5, draws=100_000)
-        proj = draws @ (g.weights * np.conj(det.values))
+        a = PlanarAperture(0.5, 0.5)
+        w = uniform_weights(a, 4, 4)
+        det = mrc_detector(channel.grid_channel(a, USER1, WL, 4, 4))
+        draws = sample_noise_batch(w, self.SIGMA2, seed=5, draws=100_000)
+        proj = draws @ (np.sqrt(w) * np.conj(det))
         var = np.mean(np.abs(proj) ** 2)
         assert var == pytest.approx(self.SIGMA2, rel=0.03)
 
     def test_distinct_seeds_uncorrelated(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 1, 1)
-        a = sample_noise_batch(g, 1.0, seed=1, draws=100_000)[:, 0]
-        b = sample_noise_batch(g, 1.0, seed=2, draws=100_000)[:, 0]
+        w = uniform_weights(PlanarAperture(1.0, 1.0), 1, 1)
+        a = sample_noise_batch(w, 1.0, seed=1, draws=100_000)[:, 0]
+        b = sample_noise_batch(w, 1.0, seed=2, draws=100_000)[:, 0]
         corr = np.mean(np.conj(a) * b) / math.sqrt(
             np.mean(np.abs(a) ** 2) * np.mean(np.abs(b) ** 2)
         )
         assert abs(corr) < 0.02
 
     def test_single_draw_reproducible(self):
-        g = uniform_grid(PlanarAperture(1.0, 1.0), 2, 2)
-        f1 = sample_noise_batch(g, 1.0, seed=42, draws=1)
-        f2 = sample_noise_batch(g, 1.0, seed=42, draws=1)
+        w = uniform_weights(PlanarAperture(1.0, 1.0), 2, 2)
+        f1 = sample_noise_batch(w, 1.0, seed=42, draws=1)
+        f2 = sample_noise_batch(w, 1.0, seed=42, draws=1)
         np.testing.assert_array_equal(f1, f2)
 
     def test_covariance_matches_discrete_delta(self):
-        g = uniform_grid(PlanarAperture(0.8, 1.2), 4, 4)
+        w = uniform_weights(PlanarAperture(0.8, 1.2), 4, 4)
         draws = 100_000
-        z = sample_noise_batch(g, self.SIGMA2, seed=9, draws=draws)
+        z = sample_noise_batch(w, self.SIGMA2, seed=9, draws=draws)
         emp = (z.conj().T @ z) / draws
-        target = np.diag(self.SIGMA2 / g.weights)
+        target = np.diag(self.SIGMA2 / w)
         diag = np.sqrt(np.diag(target))
         se = np.outer(diag, diag) / math.sqrt(draws)
         assert np.max(np.abs(emp - target) / se) < 5.0

@@ -8,22 +8,27 @@ from hypothesis import strategies as st
 from capalink import channel
 from capalink.channel import ChannelPair
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
-from capalink.numerics import inner_product, norm_squared, uniform_grid
 from capalink.uplink import (
+    SNR_CAP,
     MuRoot,
     SicOrder,
-    mrc_detector,
     region_ul,
     sic_rates,
     sic_snrs,
     simulate_table1,
     su_capacity,
     sum_capacity_ul,
-    whitening_build,
+    whiten,
     whitening_mu,
     zf_sum_rate_ul,
 )
-from references import apply_inverse, is_convex, whitening_mu_residual, zf_detector
+from references import (
+    apply_inverse,
+    is_convex,
+    mrc_detector,
+    whitening_mu_residual,
+    zf_detector,
+)
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -39,12 +44,15 @@ def random_pair(rng):
     return ChannelPair(g1=g1, g2=g2, rho=mag * np.exp(1j * phase))
 
 
-def grid_fields(n=120):
-    grid = uniform_grid(APERTURE, n, n)
+def grid_channels(n=120):
     return (
-        channel.sample_kernel(WL, USER1, grid),
-        channel.sample_kernel(WL, USER2, grid),
+        channel.grid_channel(APERTURE, USER1, WL, n, n),
+        channel.grid_channel(APERTURE, USER2, WL, n, n),
     )
+
+
+def norm2(v):
+    return np.vdot(v, v).real
 
 
 class TestSingleUser:
@@ -60,61 +68,50 @@ class TestSingleUser:
 
 class TestMrcDetector:
     def test_constant_field_normalized(self):
-        grid = uniform_grid(PlanarAperture(2.0, 2.0), 8, 8)
-        from capalink.numerics import SampledField
-
-        h = SampledField(grid, np.full(grid.size, 3.0 - 4.0j))
+        # a constant field on an 8 x 8 grid of a 2 m x 2 m aperture
+        h = np.full(64, math.sqrt(4.0 / 64) * (3.0 - 4.0j))
         v = mrc_detector(h)
-        assert norm_squared(v) == pytest.approx(1.0, abs=1e-12)
+        assert norm2(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_snr_matches_closed_form_argument(self):
-        g1, _ = grid_fields(200)
+        g1, _ = grid_channels(200)
         v = mrc_detector(g1)
-        snr_scale = abs(inner_product(v, g1)) ** 2 / norm_squared(v)
+        snr_scale = abs(np.vdot(v, g1)) ** 2 / norm2(v)
         assert snr_scale == pytest.approx(channel.gain_planar(APERTURE, USER1), rel=1e-3)
 
     def test_optimality_against_perturbations(self):
-        g1, _ = grid_fields(40)
+        g1, _ = grid_channels(40)
         v = mrc_detector(g1)
-        best = abs(inner_product(v, g1)) ** 2 / norm_squared(v)
+        best = abs(np.vdot(v, g1)) ** 2 / norm2(v)
         rng = np.random.default_rng(4)
+        cell = math.sqrt(APERTURE.area / g1.size)
         for _ in range(50):
-            noise = rng.standard_normal(g1.grid.size) + 1j * rng.standard_normal(g1.grid.size)
-            from capalink.numerics import SampledField
-
-            w = SampledField(g1.grid, v.values + 0.1 * noise)
-            other = abs(inner_product(w, g1)) ** 2 / norm_squared(w)
+            noise = rng.standard_normal(g1.size) + 1j * rng.standard_normal(g1.size)
+            w = v + 0.1 * cell * noise
+            other = abs(np.vdot(w, g1)) ** 2 / norm2(w)
             assert other <= best * (1 + 1e-12)
 
     def test_zero_field_rejected(self):
-        grid = uniform_grid(PlanarAperture(1.0, 1.0), 2, 2)
-        from capalink.numerics import SampledField
-
         with pytest.raises(ValueError):
-            mrc_detector(SampledField(grid, np.zeros(4, dtype=complex)))
+            mrc_detector(np.zeros(4, dtype=complex))
 
 
 class TestWhitening:
     def test_zero_interference_is_identity(self):
-        g1, _ = grid_fields(30)
-        op = whitening_build(g1, 0.0)
-        assert op.mu1 == pytest.approx(0.0, abs=1e-15)
-        f = g1.scaled(2.3 - 1.0j)
-        np.testing.assert_allclose(op.apply(f).values, f.values, rtol=1e-12)
+        g1, _ = grid_channels(30)
+        mu = whitening_mu(0.0, norm2(g1))
+        assert mu == pytest.approx(0.0, abs=1e-15)
+        f = (2.3 - 1.0j) * g1
+        np.testing.assert_allclose(whiten(g1, mu, f), f, rtol=1e-12)
 
     def test_inverse_round_trip(self):
-        g1, _ = grid_fields(30)
-        op = whitening_build(g1, 1e3)
+        g1, _ = grid_channels(30)
+        mu = whitening_mu(1e3, norm2(g1))
         rng = np.random.default_rng(8)
-        from capalink.numerics import SampledField
-
         for _ in range(20):
-            f = SampledField(
-                g1.grid,
-                rng.standard_normal(g1.grid.size) + 1j * rng.standard_normal(g1.grid.size),
-            )
-            back = apply_inverse(op, op.apply(f))
-            np.testing.assert_allclose(back.values, f.values, atol=1e-10)
+            f = rng.standard_normal(g1.size) + 1j * rng.standard_normal(g1.size)
+            back = apply_inverse(g1, mu, whiten(g1, mu, f))
+            np.testing.assert_allclose(back, f, atol=1e-10)
 
     def test_both_roots_satisfy_quadratic(self):
         rng = np.random.default_rng(2)
@@ -145,10 +142,10 @@ class TestWhitening:
         assert measured <= tolerance
 
     def test_snr_identical_for_either_root(self):
-        g1, g2 = grid_fields(60)
-        a = simulate_table1(g1, g2, 1e3, 1e4, root=MuRoot.VANISHING)
-        b = simulate_table1(g1, g2, 1e3, 1e4, root=MuRoot.ALTERNATE)
-        assert abs(a.gamma2 - b.gamma2) <= 1e-10 * a.gamma2
+        g1, g2 = grid_channels(60)
+        _, a = simulate_table1(g1, g2, 1e3, 1e4, root=MuRoot.VANISHING)
+        _, b = simulate_table1(g1, g2, 1e3, 1e4, root=MuRoot.ALTERNATE)
+        assert abs(a - b) <= 1e-10 * a
 
 
 class TestSicSnrs:
@@ -164,14 +161,14 @@ class TestSicSnrs:
         assert s2 == pytest.approx(10.0 * 0.3 / (1 + 1e12 * 0.4), rel=1e-6)
 
     def test_pipeline_reproduces_closed_form(self):
-        g1f, g2f = grid_fields(200)
-        res = simulate_table1(g1f, g2f, 1e3, 1e4)
+        g1f, g2f = grid_channels(200)
+        gamma1, gamma2 = simulate_table1(g1f, g2f, 1e3, 1e4)
         g1 = channel.gain_planar(APERTURE, USER1)
         g2 = channel.gain_planar(APERTURE, USER2)
         _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
         expected = 1e4 * g2 * (1 - 1e3 * g1 * abs(rho) ** 2 / (1 + 1e3 * g1))
-        assert res.gamma2 == pytest.approx(expected, rel=1e-3)
-        assert res.gamma1 == pytest.approx(1e3 * g1, rel=1e-3)
+        assert gamma2 == pytest.approx(expected, rel=1e-3)
+        assert gamma1 == pytest.approx(1e3 * g1, rel=1e-3)
 
 
 class TestSumCapacity:
@@ -239,10 +236,10 @@ class TestZeroForcing:
             assert zf_sum_rate_ul(s1, s2, ch) <= sum_capacity_ul(s1, s2, ch) + 1e-12
 
     def test_discrete_detector_matches_closed_form(self):
-        g1f, g2f = grid_fields(200)
+        g1f, g2f = grid_channels(200)
         v1 = zf_detector(g1f, g2f)
-        assert abs(inner_product(v1, g2f)) < 1e-10
-        snr_scale = abs(inner_product(v1, g1f)) ** 2 / norm_squared(v1)
+        assert abs(np.vdot(v1, g2f)) < 1e-10
+        snr_scale = abs(np.vdot(v1, g1f)) ** 2 / norm2(v1)
         g1 = channel.gain_planar(APERTURE, USER1)
         _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
         assert snr_scale == pytest.approx(g1 * (1 - abs(rho) ** 2), rel=1e-3)
@@ -290,33 +287,5 @@ class TestRegion:
 
 class TestTable1Simulation:
     def test_noise_free_is_capped(self):
-        g1f, g2f = grid_fields(30)
-        res = simulate_table1(g1f, g2f, 1e40, 1e40)
-        assert res.capped
-        assert math.isfinite(res.rates.r1) and math.isfinite(res.rates.r2)
-
-    def test_cancellation_residual(self):
-        g1f, g2f = grid_fields(60)
-        res = simulate_table1(g1f, g2f, 1e3, 1e4, seed=5)
-        assert res.residual_projection < 1e-10
-
-    def test_coarse_grid_warns(self, caplog):
-        import logging
-
-        g1f, g2f = grid_fields(8)
-        with caplog.at_level(logging.WARNING):
-            simulate_table1(g1f, g2f, 1e3, 1e4, wavelength=WL.lam)
-        assert any("quarter wavelength" in r.message for r in caplog.records)
-
-    def test_empirical_noise_mode_matches_exact(self):
-        g1f, g2f = grid_fields(16)
-        exact = simulate_table1(g1f, g2f, 1e3, 1e4)
-        emp = simulate_table1(g1f, g2f, 1e3, 1e4, seed=11, noise_draws=20_000)
-        assert emp.gamma1 == pytest.approx(exact.gamma1, rel=0.05)
-        assert emp.gamma2 == pytest.approx(exact.gamma2, rel=0.05)
-
-    def test_empirical_mode_reproducible(self):
-        g1f, g2f = grid_fields(10)
-        a = simulate_table1(g1f, g2f, 1e3, 1e4, seed=3, noise_draws=500)
-        b = simulate_table1(g1f, g2f, 1e3, 1e4, seed=3, noise_draws=500)
-        assert a.gamma2 == b.gamma2
+        g1f, g2f = grid_channels(30)
+        assert simulate_table1(g1f, g2f, 1e40, 1e40) == (SNR_CAP, SNR_CAP)

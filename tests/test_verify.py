@@ -8,7 +8,7 @@ from capalink.scenario import scene_defaults, scene_from_dict, with_aperture
 from capalink.uplink import MuRoot, whitening_mu
 from capalink.verify import (
     WHITENING_ROUNDOFF,
-    grid_fields,
+    grid_channels,
     whitened_covariance_deviation,
     whitening_covariance_check,
 )
@@ -29,22 +29,22 @@ SCENES = {"default": scene_defaults(), "fault-c": FAULT_C}
 
 
 def whitening_inputs(scene):
-    g1_field = grid_fields(scene, (4, 4))[0]
+    h1 = grid_channels(scene, (4, 4))[0]
     snr1 = scene.ul_snr_linear[0]
-    g1 = float(np.sum(g1_field.grid.weights * np.abs(g1_field.values) ** 2))
-    return g1_field, snr1, g1
+    g1 = float(np.vdot(h1, h1).real)
+    return h1, snr1, g1
 
 
 class TestWhitenedCovarianceCheck:
     @pytest.mark.parametrize("name", list(SCENES))
     def test_white_at_either_root(self, name):
-        g1_field, snr1, g1 = whitening_inputs(SCENES[name])
+        h1, snr1, g1 = whitening_inputs(SCENES[name])
         measured, tolerance = whitening_covariance_check(SCENES[name])
         assert tolerance == pytest.approx(WHITENING_ROUNDOFF * (1.0 + snr1 * g1), rel=1e-12)
         assert measured <= tolerance
         for root in MuRoot:
             mu = whitening_mu(snr1, g1, root)
-            assert whitened_covariance_deviation(g1_field, snr1, mu) <= tolerance
+            assert whitened_covariance_deviation(h1, snr1, mu) <= tolerance
 
     @pytest.mark.parametrize("root", list(MuRoot))
     def test_catches_relative_mu_error(self, root):
@@ -54,19 +54,18 @@ class TestWhitenedCovarianceCheck:
                 scene = with_aperture(
                     replace(base, ul_snr_db=(db, base.ul_snr_db[1])), PlanarAperture(side, side)
                 )
-                g1_field, snr1, g1 = whitening_inputs(scene)
+                h1, snr1, g1 = whitening_inputs(scene)
                 mu = whitening_mu(snr1, g1, root)
                 tolerance = WHITENING_ROUNDOFF * (1.0 + snr1 * g1)
-                assert whitened_covariance_deviation(g1_field, snr1, mu) <= tolerance
-                bad = whitened_covariance_deviation(g1_field, snr1, mu * (1.0 + 1e-6))
+                assert whitened_covariance_deviation(h1, snr1, mu) <= tolerance
+                bad = whitened_covariance_deviation(h1, snr1, mu * (1.0 + 1e-6))
                 assert bad > tolerance, (db, side)
 
     @pytest.mark.parametrize("name", list(SCENES))
     def test_equals_mu_residual_off_root(self, name):
-        # W S W^H - diag(1/w) = c g g^H with c the residual of mu's quadratic
-        g1_field, snr1, g1 = whitening_inputs(SCENES[name])
+        # W S W^H - I = c h h^H with c the residual of mu's quadratic
+        h1, snr1, g1 = whitening_inputs(SCENES[name])
         mu = whitening_mu(snr1, g1) * (1.0 + 1e-6)
-        w, g = g1_field.grid.weights, g1_field.values
-        expected = abs(whitening_mu_residual(mu, snr1, g1)) * np.max(w * np.abs(g) ** 2)
-        got = whitened_covariance_deviation(g1_field, snr1, mu)
+        expected = abs(whitening_mu_residual(mu, snr1, g1)) * np.max(np.abs(h1) ** 2)
+        got = whitened_covariance_deviation(h1, snr1, mu)
         assert got == pytest.approx(expected, rel=1e-6)

@@ -330,7 +330,10 @@ def downlink_snr_coefficient(rx_area: float, sigma2: float, k0: float, eta: floa
     """
     if min(rx_area, sigma2) <= 0.0:
         raise ValueError("downlink_snr_coefficient arguments must be positive")
-    return rx_area * k0**2 * eta**2 / (4.0 * math.pi * sigma2)
+    try:
+        return rx_area * k0**2 * eta**2 / (4.0 * math.pi * sigma2)
+    except OverflowError:
+        raise ValueError(f"wavenumber {k0!r} overflows the downlink SNR coefficient") from None
 
 
 def db_to_linear(db: float) -> float:

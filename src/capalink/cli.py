@@ -10,8 +10,9 @@ and seed.
 
 Exit codes: 0 success, 1 validation error (a rejected command line, float
 options that are not finite included, any ValueError that is not a numeric
-failure, or a config, report or manifest file that cannot be read or
-written), 2 verification failure, 3 numeric non-convergence.
+failure, a float overflow from extreme scene values, or a config, report or
+manifest file that cannot be read or written), 2 verification failure, 3
+numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -125,14 +126,15 @@ def _coupling_model(args) -> CouplingModel | None:
     )
 
 
-def _validate_or_raise(scene: Scene) -> list:
+def _validate_or_raise(scene: Scene):
+    "Print the scene's warnings; raise its errors as one SceneError, which main prints."
     findings = validate(scene)
     for f in findings:
-        print(f"{f.severity}: {f.message}", file=sys.stderr)
-    errors = [f for f in findings if f.severity == "error"]
+        if f.severity == "warning":
+            print(f"warning: {f.message}", file=sys.stderr)
+    errors = [f.message for f in findings if f.severity == "error"]
     if errors:
-        raise SceneError("; ".join(f.message for f in errors))
-    return findings
+        raise SceneError("; ".join(errors))
 
 
 def cmd_gain(args) -> int:
@@ -230,6 +232,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.link == "ul" and args.splits is not None:
+        raise SceneError("--splits applies to the downlink region only (--link dl)")
     scene = _resolve_scene(args)
     _validate_or_raise(scene)
     model = _coupling_model(args)
@@ -239,7 +243,8 @@ def cmd_region(args) -> int:
         vertices = uplink.region_ul(s1, s2, ch)
     else:
         link = scenario.dual_link(scene, ch)
-        vertices = downlink.region_dl(link, n_splits=args.splits)
+        splits = downlink.DEFAULT_SPLITS if args.splits is None else args.splits
+        vertices = downlink.region_dl(link, n_splits=splits)
     buf = io.StringIO()
     _write_csv(buf, ["R1", "R2"], [list(v) for v in vertices])
     _emit(args, buf.getvalue())
@@ -284,7 +289,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for v in values:
         step = _sweep_scene(scene, args.param, float(v))
-        order = scenario.auto_quadrature_order(step)
+        order = args.quad_order
+        if order is None:  # a config's quadrature_order does not reach the sweep
+            order = scenario.auto_quadrature_order(step)
         ch = scenario.channel_pair(step, order=order)
         s1, s2 = step.ul_snr_linear
         link = scenario.dual_link(step, ch)
@@ -434,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_coupling(p)
     p.add_argument("--link", choices=["ul", "dl"], default="ul")
-    p.add_argument("--splits", type=int, default=201, help="downlink power splits")
+    p.add_argument(
+        "--splits", type=int, help=f"downlink power splits (default {downlink.DEFAULT_SPLITS})"
+    )
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sweep", help="parameter sweep as CSV")
@@ -466,6 +475,9 @@ def main(argv=None) -> int:
     # after the clause above: both of its exceptions subclass ValueError
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:  # float arithmetic on extreme scene values
+        print(f"error: a scene value is out of float range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

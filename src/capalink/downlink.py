@@ -2,15 +2,15 @@
 
 The downlink problem is solved in its dual-uplink form: split the sum power
 across the two dual users (closed-form KKT split), map the split to source
-currents (forward transform), or recover the dual split from given currents
-(reverse transform).  The transforms act on element-domain channel vectors
-(channel.grid_channel), so their integrals are plain vector products.  DPC
-rates are the dual uplink's SIC rates with the order reversed (Vishwanath,
-Jindal & Goldsmith, IEEE Trans. IT 49, 2003), so the rate formulas live in
-uplink only.  The sum capacity is one closed form at the optimal split.  ZF
-precoding with two-channel water-filling and the capacity region, the
-convex hull of the dual pentagons as a tuple of counterclockwise vertices,
-are built on the same statistics.
+current vectors (forward transform), or recover the dual split from given
+currents (reverse transform).  The transforms act on element-domain channel
+vectors (channel.grid_channel), so their integrals are plain vector
+products.  DPC rates are the dual uplink's SIC rates with the order
+reversed (Vishwanath, Jindal & Goldsmith, IEEE Trans. IT 49, 2003), so the
+rate formulas live in uplink only.  The sum capacity is one closed form at
+the optimal split.  ZF precoding with two-channel water-filling is built on
+the same statistics, and the capacity region is the convex hull of the dual
+pentagons of all splits, formed as one array (uplink.pentagon).
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ import numpy as np
 
 from .channel import ChannelPair
 from .regions import convex_hull
-from .uplink import Rates, SicOrder, region_ul, sic_rates
+from .uplink import Rates, SicOrder, pentagon, sic_rates
 
 RHO_BAR_FLOOR = 1e-12
 "Below this separability the KKT threshold is undefined (coincident users)."
 
+DEFAULT_SPLITS = 201
+"Power splits region_dl sweeps unless told otherwise."
+
 MAX_SPLITS = 100_000
 """Most power splits region_dl accepts.  Each split adds its pentagon's
-vertices to the hull input: 1e5 splits take about 1.6 s and peak near
-115 MB in one process (2-vCPU Xeon, one BLAS thread); 2001 take 0.03 s."""
+five vertices to the hull input: 1e5 splits take about 1.4 s and peak near
+125 MB in one process (2-vCPU Xeon, one BLAS thread); 2001 take 0.01 s."""
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,8 @@ class DualPowerSplit:
 
     p1: float
     p2: float
-    budget: float
     xi: float
     branch: str
-
-    @property
-    def total(self) -> float:
-        return self.p1 + self.p2
 
 
 def kkt_threshold(link: DualLink) -> float:
@@ -96,16 +94,14 @@ def dual_power_allocation(link: DualLink) -> DualPowerSplit:
         c1g1 = link.snr_at(0, p) * link.ch.g1
         c2g2 = link.snr_at(1, p) * link.ch.g2
         if c1g1 >= c2g2:
-            return DualPowerSplit(p1=p, p2=0.0, budget=p, xi=math.inf, branch="coincident-1")
-        return DualPowerSplit(p1=0.0, p2=p, budget=p, xi=-math.inf, branch="coincident-2")
+            return DualPowerSplit(p1=p, p2=0.0, xi=math.inf, branch="coincident-1")
+        return DualPowerSplit(p1=0.0, p2=p, xi=-math.inf, branch="coincident-2")
     xi = kkt_threshold(link)
     if xi >= p:
-        return DualPowerSplit(p1=p, p2=0.0, budget=p, xi=xi, branch="all-to-1")
+        return DualPowerSplit(p1=p, p2=0.0, xi=xi, branch="all-to-1")
     if xi <= -p:
-        return DualPowerSplit(p1=0.0, p2=p, budget=p, xi=xi, branch="all-to-2")
-    return DualPowerSplit(
-        p1=(p + xi) / 2.0, p2=(p - xi) / 2.0, budget=p, xi=xi, branch="interior"
-    )
+        return DualPowerSplit(p1=0.0, p2=p, xi=xi, branch="all-to-2")
+    return DualPowerSplit(p1=(p + xi) / 2.0, p2=(p - xi) / 2.0, xi=xi, branch="interior")
 
 
 def dpc_rates(link: DualLink, p1: float, p2: float, order: SicOrder) -> Rates:
@@ -130,7 +126,7 @@ def sum_capacity_dl(link: DualLink) -> float:
     split = dual_power_allocation(link)
     e1 = link.snr_at(0, split.p1) * link.ch.g1
     e2 = link.snr_at(1, split.p2) * link.ch.g2
-    return math.log2(1.0 + e1 + e2 + e1 * e2 * link.ch.rho_bar)
+    return np.log2(1.0 + e1 + e2 + e1 * e2 * link.ch.rho_bar)
 
 
 def water_fill_two(c1: float, c2: float, power: float) -> tuple[float, float]:
@@ -167,64 +163,24 @@ def zf_precoding_dl(link: DualLink) -> Rates:
     return Rates(r1=math.log2(1.0 + c1 * p1), r2=math.log2(1.0 + c2 * p2))
 
 
-@dataclass(frozen=True)
-class SourceCurrents:
-    """Capacity-achieving currents as coefficients in span{H1hat*, H2hat*}.
-
-    Keeping the span coefficients (rather than point samples) means the
-    power-conservation identity holds to rounding on any grid; the current
-    vectors are materialized on demand.
-    """
-
-    h1hat: np.ndarray
-    h2hat: np.ndarray
-    coeff1: tuple[complex, complex]
-    coeff2: tuple[complex, complex]
-    p1: float
-    p2: float
-
-    def field1(self) -> np.ndarray:
-        a, b = self.coeff1
-        return a * np.conj(self.h1hat) + b * np.conj(self.h2hat)
-
-    def field2(self) -> np.ndarray:
-        a, b = self.coeff2
-        return a * np.conj(self.h1hat) + b * np.conj(self.h2hat)
-
-    def total_power(self) -> float:
-        return _norm2(self.field1()) + _norm2(self.field2())
-
-
 def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
 def currents_from_dual(
-    p1: float,
-    p2: float,
-    h1hat: np.ndarray,
-    h2hat: np.ndarray,
-    order: SicOrder = SicOrder.USER2_FIRST,
-) -> SourceCurrents:
-    """Forward duality transform: dual power split to downlink source currents.
+    p1: float, p2: float, h1hat: np.ndarray, h2hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward duality transform: dual power split to the downlink source
+    currents (J1, J2) of the 2->1 encoding order.
 
-    For the 2->1 encoding order, the user-1 current is the normalized
-    projection of H1hat* away from a P2-weighted share of H2hat*, and the
-    user-2 current is a rescaled conjugate-matched beam.  Total current power
-    equals p1 + p2 (checked by tests to grid rounding).
+    The user-1 current is the normalized projection of H1hat* away from a
+    P2-weighted share of H2hat*, and the user-2 current is a rescaled
+    conjugate-matched beam.  Both are formed from their coefficients in
+    span{H1hat*, H2hat*}, so the total current power equals p1 + p2 to
+    rounding on any grid.
     """
     if p1 < 0.0 or p2 < 0.0:
         raise ValueError("allocated powers must be nonnegative")
-    if order is SicOrder.USER1_FIRST:
-        swapped = currents_from_dual(p2, p1, h2hat, h1hat, SicOrder.USER2_FIRST)
-        return SourceCurrents(
-            h1hat=h1hat,
-            h2hat=h2hat,
-            coeff1=(swapped.coeff2[1], swapped.coeff2[0]),
-            coeff2=(swapped.coeff1[1], swapped.coeff1[0]),
-            p1=p1,
-            p2=p2,
-        )
     h1 = _norm2(h1hat)
     h2 = _norm2(h2hat)
     if h1 <= 0.0 or h2 <= 0.0:
@@ -235,51 +191,36 @@ def currents_from_dual(
     c = p2 * q / (1.0 + p2 * h2)
     d = h1 - p2 * abs(q) ** 2 / (1.0 + p2 * h2)
     if p1 > 0.0:
-        coeff1 = (math.sqrt(p1) / math.sqrt(d), -math.sqrt(p1) / math.sqrt(d) * c)
+        a, b = math.sqrt(p1) / math.sqrt(d), -math.sqrt(p1) / math.sqrt(d) * c
     else:
-        coeff1 = (0.0 + 0.0j, 0.0 + 0.0j)
+        a, b = 0.0 + 0.0j, 0.0 + 0.0j
+    j1 = a * np.conj(h1hat) + b * np.conj(h2hat)
 
     # |int H2hat J1|^2 through the span coefficients; note
     # int H2hat conj(H1hat) equals q itself, not its conjugate.
-    cross = coeff1[0] * q + coeff1[1] * h2
-    x = abs(cross) ** 2
+    x = abs(a * q + b * h2) ** 2
 
     # J2 = sqrt(p2) H2hat* sqrt(1 + x) / sqrt(h2)
-    coeff2 = (0.0 + 0.0j, math.sqrt(p2) * math.sqrt(1.0 + x) / math.sqrt(h2))
-    return SourceCurrents(
-        h1hat=h1hat, h2hat=h2hat, coeff1=coeff1, coeff2=coeff2, p1=p1, p2=p2
-    )
+    j2 = math.sqrt(p2) * math.sqrt(1.0 + x) / math.sqrt(h2) * np.conj(h2hat)
+    return j1, j2
 
 
 def rates_from_currents(
-    currents: SourceCurrents, order: SicOrder = SicOrder.USER2_FIRST
+    j1: np.ndarray, j2: np.ndarray, h1hat: np.ndarray, h2hat: np.ndarray
 ) -> Rates:
-    "Downlink DPC rates evaluated directly from current/channel integrals."
-    j1 = currents.field1()
-    j2 = currents.field2()
-    h1hat, h2hat = currents.h1hat, currents.h2hat
-    if order is SicOrder.USER1_FIRST:
-        h1hat, h2hat = h2hat, h1hat
-        j1, j2 = j2, j1
+    "Downlink DPC rates of the 2->1 encoding order from current/channel integrals."
     s1 = abs(np.sum(h1hat * j1)) ** 2
     x21 = abs(np.sum(h2hat * j1)) ** 2
     s2 = abs(np.sum(h2hat * j2)) ** 2
-    r_first = math.log2(1.0 + s1)
-    r_second = math.log2(1.0 + s2 / (1.0 + x21))
-    if order is SicOrder.USER1_FIRST:
-        return Rates(r1=r_second, r2=r_first)
-    return Rates(r1=r_first, r2=r_second)
+    return Rates(r1=math.log2(1.0 + s1), r2=math.log2(1.0 + s2 / (1.0 + x21)))
 
 
 def dual_from_currents(
-    j1: np.ndarray,
-    j2: np.ndarray,
-    h1hat: np.ndarray,
-    h2hat: np.ndarray,
-) -> DualPowerSplit:
-    """Reverse duality transform: currents to the dual-uplink power split.
+    j1: np.ndarray, j2: np.ndarray, h1hat: np.ndarray, h2hat: np.ndarray
+) -> tuple[float, float]:
+    """Reverse duality transform: currents to the dual-uplink power split (P1, P2).
 
-    The recovered (P1, P2) achieve the downlink rates in the dual uplink and
+    The recovered powers achieve the downlink rates in the dual uplink and
     never exceed the total current power (Cauchy-Schwarz).
     """
     h1 = _norm2(h1hat)
@@ -291,23 +232,19 @@ def dual_from_currents(
     p2 = abs(np.sum(h2hat * j2)) ** 2 / (h2 * (1.0 + c21))
     denom = h1 - p2 * abs(q) ** 2 / (1.0 + p2 * h2)
     p1 = abs(np.sum(h1hat * j1)) ** 2 / denom
-    budget = _norm2(j1) + _norm2(j2)
-    return DualPowerSplit(p1=p1, p2=p2, budget=budget, xi=math.nan, branch="from-currents")
+    return p1, p2
 
 
-def region_dl(link: DualLink, n_splits: int = 201) -> tuple:
+def region_dl(link: DualLink, n_splits: int = DEFAULT_SPLITS) -> tuple:
     """Downlink capacity region: convex hull of the dual-uplink pentagons.
 
-    Sweeps n_splits evenly spaced power splits (P1, P - P1); each split
-    contributes its dual pentagon's vertices, processed in split order before
-    hulling so the output is deterministic.
+    Sweeps n_splits evenly spaced power splits (P1, P - P1) and hulls the
+    vertices of all their dual pentagons at once.
     """
     if not 2 <= n_splits <= MAX_SPLITS:
         raise ValueError(f"need between 2 and {MAX_SPLITS} power splits, got {n_splits}")
-    pts = []
-    for i in range(n_splits):
-        # the last quotient can round above the budget, leaving p2 < 0
-        p1 = min(link.power * i / (n_splits - 1), link.power)
-        p2 = link.power - p1
-        pts.extend(region_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch))
-    return tuple(convex_hull(pts))
+    # the last quotient can round above the budget, leaving p2 < 0
+    p1 = np.minimum(link.power * np.arange(n_splits) / (n_splits - 1), link.power)
+    p2 = link.power - p1
+    vertices = pentagon(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
+    return tuple(convex_hull(vertices.reshape(-1, 2)))

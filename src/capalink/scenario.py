@@ -237,14 +237,8 @@ def asymptotic_pair(scene: Scene) -> ChannelPair:
     return ChannelPair(g, g, 0j)
 
 
-def dual_link(
-    scene: Scene,
-    ch: ChannelPair | None = None,
-    coupling_model: CouplingModel | None = None,
-) -> DualLink:
-    "Downlink scene in dual-uplink form."
-    if ch is None:
-        ch = channel_pair(scene, coupling_model=coupling_model)
+def dual_link(scene: Scene, ch: ChannelPair) -> DualLink:
+    "Downlink scene in dual-uplink form, on the statistics ch."
     return DualLink(
         ch=ch,
         snr_per_power=(scene.snr_coefficient(0), scene.snr_coefficient(1)),
@@ -292,6 +286,14 @@ def _number(obj: dict, key: str, default: float | None = None) -> float:
     return x
 
 
+def _count(obj: dict, key: str, default: int | None = None) -> int:
+    "obj[key], or the default if given and the key is absent, as an integral number."
+    x = _number(obj, key, default)
+    if x != int(x):
+        raise SceneError(f"{key} must be a whole number, got {x}")
+    return int(x)
+
+
 def scene_from_dict(cfg: dict) -> Scene:
     "Build a validated Scene from a parsed config mapping."
     _check_keys(cfg, _SCENE_KEYS, "scene")
@@ -315,10 +317,7 @@ def scene_from_dict(cfg: dict) -> Scene:
             else:
                 element_area = _number(ap_cfg, "element_area")
             ap = DiscreteAperture(
-                int(ap_cfg["elements_x"]),
-                int(ap_cfg["elements_z"]),
-                spacing,
-                element_area,
+                _count(ap_cfg, "elements_x"), _count(ap_cfg, "elements_z"), spacing, element_area
             )
         users = []
         snrs = []
@@ -344,7 +343,7 @@ def scene_from_dict(cfg: dict) -> Scene:
                 _number(cfg, "downlink_sum_snr_db") if "downlink_sum_snr_db" in cfg else None
             ),
             dl_power=_number(cfg, "downlink_power") if "downlink_power" in cfg else None,
-            quadrature_order=int(cfg.get("quadrature_order", DEFAULT_QUADRATURE_ORDER)),
+            quadrature_order=_count(cfg, "quadrature_order", DEFAULT_QUADRATURE_ORDER),
         )
     except SceneError:
         raise

@@ -1,7 +1,9 @@
 """Uplink capacity: interference whitening, SIC, ZF, and the rate region.
 
-Closed forms take the (gain, gain, correlation) statistics; the rate region
-is the tuple of its counterclockwise vertices.  The SIC pipeline of the
+Closed forms take the (gain, gain, correlation) statistics; the capacity
+formulas also take arrays of transmit SNRs, so `pentagon` forms many
+pentagons at once.  The rate region is the convex hull of one pentagon, as
+the tuple of its counterclockwise vertices.  The SIC pipeline of the
 paper's Table I (whiten, MRC-decode, subtract, MRC-decode) re-derives the
 same SNRs from two element-domain channel vectors (channel.grid_channel),
 and verify uses it to cross-check the algebra end to end.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelPair
+from .regions import convex_hull
 
 SNR_CAP = 1e30
 "Linear SNR ceiling reported for degenerate (noise-free) simulations."
@@ -52,11 +55,12 @@ class Rates:
         return self.r1 + self.r2
 
 
-def su_capacity(gamma_bar: float, g: float) -> float:
-    "Single-user capacity log2(1 + gamma_bar * g), bits/s/Hz, in either direction."
-    if gamma_bar < 0.0:
+def su_capacity(gamma_bar, g: float):
+    """Single-user capacity log2(1 + gamma_bar * g), bits/s/Hz, in either
+    direction; elementwise over an array of SNRs."""
+    if np.any(gamma_bar < 0.0):
         raise ValueError("transmit SNR must be nonnegative")
-    return math.log2(1.0 + gamma_bar * g)
+    return np.log2(1.0 + gamma_bar * g)
 
 
 def whitening_mu(gamma1: float, g1: float, root: MuRoot = MuRoot.VANISHING) -> float:
@@ -101,11 +105,11 @@ def sic_rates(gamma1: float, gamma2: float, ch: ChannelPair, order: SicOrder) ->
     return Rates(r1=math.log2(1.0 + s1), r2=math.log2(1.0 + s2))
 
 
-def sum_capacity_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> float:
-    "Order-independent two-user sum-rate capacity, bits/s/Hz."
-    if gamma1 < 0.0 or gamma2 < 0.0:
+def sum_capacity_ul(gamma1, gamma2, ch: ChannelPair):
+    "Order-independent two-user sum-rate capacity, bits/s/Hz; elementwise over arrays."
+    if np.any((gamma1 < 0.0) | (gamma2 < 0.0)):
         raise ValueError("transmit SNRs must be nonnegative")
-    return math.log2(
+    return np.log2(
         1.0
         + gamma1 * gamma2 * ch.g1 * ch.g2 * ch.rho_bar
         + gamma1 * ch.g1
@@ -119,34 +123,25 @@ def zf_sum_rate_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> float:
     return math.log2(1.0 + gamma1 * ch.g1 * rb) + math.log2(1.0 + gamma2 * ch.g2 * rb)
 
 
-def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> tuple:
-    """Pentagon capacity region as its tuple of CCW (R1, R2) vertices.
+def pentagon(gamma1, gamma2, ch: ChannelPair) -> np.ndarray:
+    """Vertices of the capacity pentagon at transmit SNRs of one shape, (..., 5, 2).
 
-    Corners are the two SIC operating points; degenerate vertices (zero side
-    lengths, no inter-user interference) are merged.
+    Counterclockwise from the origin: (0, 0), (C1, 0), the two SIC operating
+    points (C1, Cs - C1) and (Cs - C2, C2), and (0, C2).  Degenerate pentagons
+    repeat vertices; the hull drops them.
     """
     c1 = su_capacity(gamma1, ch.g1)
     c2 = su_capacity(gamma2, ch.g2)
     cs = sum_capacity_ul(gamma1, gamma2, ch)
-    verts = [
-        (0.0, 0.0),
-        (c1, 0.0),
-        (c1, cs - c1),
-        (cs - c2, c2),
-        (0.0, c2),
-    ]
-    out = []
-    for v in verts:
-        if not out or not (
-            math.isclose(v[0], out[-1][0], abs_tol=1e-12)
-            and math.isclose(v[1], out[-1][1], abs_tol=1e-12)
-        ):
-            out.append(v)
-    if len(out) > 1 and math.isclose(out[0][0], out[-1][0], abs_tol=1e-12) and math.isclose(
-        out[0][1], out[-1][1], abs_tol=1e-12
-    ):
-        out.pop()
-    return tuple(out)
+    zero = np.zeros_like(cs)
+    r1 = np.stack([zero, c1, c1, cs - c2, zero], axis=-1)
+    r2 = np.stack([zero, zero, cs - c1, c2, c2], axis=-1)
+    return np.stack([r1, r2], axis=-1)
+
+
+def region_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> tuple:
+    "Pentagon capacity region as its tuple of CCW (R1, R2) vertices."
+    return tuple(convex_hull(pentagon(gamma1, gamma2, ch)))
 
 
 def simulate_table1(

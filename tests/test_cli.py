@@ -121,6 +121,17 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(len(ln.split(",")) == len(lines[0].split(",")) for ln in lines[1:])
 
+    def test_quad_order_sets_every_row(self, capsys):
+        argv = ["sweep", "--param", "snr", "--start", "10", "--stop", "20", "--steps", "2"]
+        rows = {}
+        for extra in ([], ["--quad-order", "3"]):
+            code, out = run(capsys, *argv, *extra)
+            assert code == 0
+            header, *lines = out.strip().splitlines()
+            col = header.split(",").index("rho_abs2")
+            rows[len(extra)] = [float(line.split(",")[col]) for line in lines]
+        assert all(a != b for a, b in zip(rows[0], rows[2]))
+
     def test_occupation_sweep_monotone_and_matches_capa(self, capsys):
         code, out = run(
             capsys, "sweep", "--param", "occupation",
@@ -323,6 +334,10 @@ class TestDeterminismAndExitCodes:
             ["capacity", "--link", "dl", "--output", "NO_DIR"],
             ["region", "--output", "WRITABLE", "--manifest", "NO_DIR"],
             ["region", "--link", "dl", "--splits", "100000001"],
+            ["region", "--link", "ul", "--splits", "100000000"],
+            ["region", "--splits", "201"],
+            ["gain", "--config", "FRACTIONAL_ORDER"],
+            ["gain", "--config", "FRACTIONAL_ELEMENTS"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "0"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "-1"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "1001"],
@@ -334,8 +349,12 @@ class TestDeterminismAndExitCodes:
             "NO_DIR": tmp_path / "no-such-dir" / "out.json",
             "WRITABLE": tmp_path / "out.csv",
         }
+        spda = {"type": "spda", "elements_x": 3.7, "elements_z": 3, "spacing": 0.05,
+                "occupation": 0.5}
         for name, key, value in [("GRID_ZERO", "grid", [0, 0]),
-                                 ("HUGE_ORDER", "quadrature_order", 100000000)]:
+                                 ("HUGE_ORDER", "quadrature_order", 100000000),
+                                 ("FRACTIONAL_ORDER", "quadrature_order", 20.9),
+                                 ("FRACTIONAL_ELEMENTS", "aperture", spda)]:
             cfg = scene_to_dict(scene_defaults())
             cfg[key] = value
             paths[name] = tmp_path / f"{name}.json"
@@ -349,6 +368,30 @@ class TestDeterminismAndExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "changes,argv",
+        [
+            # k0^2 overflows a float in the downlink SNR coefficient
+            ({"wavelength": 1e-300}, ["scene", "print"]),
+            ({"wavelength": 1e-300}, ["capacity", "--link", "dl"]),
+            ({"wavelength": 1e-300}, ["region", "--link", "dl"]),
+            ({"wavelength": 1e-300}, ["verify", "--suite", "duality"]),
+            ({"wavelength": 1e-300}, ["sweep", "--param", "snr", "--start", "1", "--stop", "2"]),
+            # the strip's correlation is NaN: a validation error, reported once
+            ({"wavelength": 5e-324, "aperture": {"type": "linear", "length_x": 0.05,
+                                                 "length_z": 1.0}}, ["gain"]),
+            # the strip's closed-form gain squares its length
+            ({"aperture": {"type": "linear", "length_x": 0.05, "length_z": 1e300}}, ["gain"]),
+        ],
+    )
+    def test_extreme_scene_values_exit_one(self, changes, argv, capsys, tmp_path):
+        cfg = {**scene_to_dict(scene_defaults()), **changes}
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(cfg))
+        assert main(argv + ["--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
 
     def test_largest_splits_and_steps_run(self, capsys):
         from capalink.cli import MAX_SWEEP_STEPS

@@ -93,15 +93,19 @@ def _resolve_scene(args) -> Scene:
     if getattr(args, "quad_order", None) is not None:
         scene = replace(scene, quadrature_order=args.quad_order)
     if getattr(args, "aperture", None):
-        scene = _override_aperture(scene, args)
+        scene = _override_aperture(scene, args.aperture, args)
+    is_discrete = isinstance(scene.aperture, DiscreteAperture)
+    if getattr(args, "param", None) == "occupation" and not is_discrete:
+        scene = _override_aperture(scene, "spda", args)  # only an SPDA has an occupation
     return scene
 
 
-def _override_aperture(scene: Scene, args) -> Scene:
-    kind = args.aperture
+def _override_aperture(scene: Scene, kind: str, args) -> Scene:
     ap = scene.aperture
-    length_x = getattr(ap, "length_x", getattr(ap, "span_x", 0.5))
-    length_z = getattr(ap, "length_z", getattr(ap, "span_z", 0.5))
+    if isinstance(ap, DiscreteAperture):
+        length_x, length_z = ap.span_x, ap.span_z
+    else:
+        length_x, length_z = ap.length_x, ap.length_z
     if kind == "planar":
         return scenario.with_aperture(scene, PlanarAperture(length_x, length_z))
     if kind == "linear":
@@ -112,10 +116,7 @@ def _override_aperture(scene: Scene, args) -> Scene:
     if m < 1:
         raise SceneError(f"--elements must be a positive odd count, got {m}")
     d = length_z / m
-    occ = args.occupation
-    return scenario.with_aperture(
-        scene, DiscreteAperture(m, m, d, occ * d * d)
-    )
+    return scenario.with_aperture(scene, DiscreteAperture(m, m, d, args.occupation * d * d))
 
 
 def _coupling_model(args) -> CouplingModel | None:
@@ -251,88 +252,17 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _asymptotes(scene: Scene) -> tuple[float, float]:
-    """Infinite-aperture uplink and downlink sum capacities.
-
-    The uplink limit is the sum of the single-user capacities; the downlink
-    one is NaN when the scene has no unambiguous power budget.
-    """
-    ch = scenario.asymptotic_pair(scene)
-    s1, s2 = scene.ul_snr_linear
-    ul = uplink.su_capacity(s1, ch.g1) + uplink.su_capacity(s2, ch.g2)
-    try:
-        return ul, downlink.sum_capacity_dl(scenario.dual_link(scene, ch))
-    except SceneError:
-        return ul, math.nan
-
-
 def cmd_sweep(args) -> int:
     scene = _resolve_scene(args)
     _validate_or_raise(scene)
     if not 1 <= args.steps <= MAX_SWEEP_STEPS:
         raise SceneError(f"--steps must lie between 1 and {MAX_SWEEP_STEPS}, got {args.steps}")
     values = np.geomspace(args.start, args.stop, args.steps)
-    header = [
-        args.param,
-        "C_ul",
-        "R_ul_zf",
-        "C1_ul",
-        "C2_ul",
-        "C_dl",
-        "R_dl_zf",
-        "g1",
-        "g2",
-        "rho_abs2",
-        "asy_ul",
-        "asy_dl",
-    ]
-    rows = []
-    for v in values:
-        step = _sweep_scene(scene, args.param, float(v))
-        order = args.quad_order
-        if order is None:  # a config's quadrature_order does not reach the sweep
-            order = scenario.auto_quadrature_order(step)
-        ch = scenario.channel_pair(step, order=order)
-        s1, s2 = step.ul_snr_linear
-        link = scenario.dual_link(step, ch)
-        rows.append([
-            v,
-            uplink.sum_capacity_ul(s1, s2, ch),
-            uplink.zf_sum_rate_ul(s1, s2, ch),
-            uplink.su_capacity(s1, ch.g1),
-            uplink.su_capacity(s2, ch.g2),
-            downlink.sum_capacity_dl(link),
-            downlink.zf_precoding_dl(link).total,
-            ch.g1,
-            ch.g2,
-            abs(ch.rho) ** 2,
-            *_asymptotes(step),
-        ])
+    rows = scenario.sweep(scene, args.param, values, order=args.quad_order)
     buf = io.StringIO()
-    _write_csv(buf, header, rows)
+    _write_csv(buf, [args.param, *scenario.SWEEP_COLUMNS], rows)
     _emit(args, buf.getvalue())
     return EXIT_OK
-
-
-def _sweep_scene(scene: Scene, param: str, value: float) -> Scene:
-    if param == "aperture_area":
-        side = math.sqrt(value)
-        return scenario.with_aperture(scene, PlanarAperture(side, side))
-    if param == "occupation":
-        ap = scene.aperture
-        if not isinstance(ap, DiscreteAperture):
-            # keep the default span, 41 elements per side
-            m = 41
-            span = getattr(ap, "length_z", 0.5)
-            d = span / m
-            return scenario.with_aperture(scene, DiscreteAperture(m, m, d, value * d * d))
-        return scenario.with_aperture(
-            scene,
-            DiscreteAperture(ap.elements_x, ap.elements_z, ap.spacing, value * ap.spacing**2),
-        )
-    if param == "snr":
-        return replace(scene, ul_snr_db=tuple(value for _ in scene.ul_snr_db))
-    raise SceneError(f"unknown sweep parameter {param!r}")
 
 
 def cmd_scene(args) -> int:
@@ -448,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep as CSV")
     _add_common(p)
-    p.add_argument("--param", choices=["aperture_area", "occupation", "snr"], required=True)
+    p.add_argument("--param", choices=scenario.SWEEP_PARAMS, required=True)
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=9)

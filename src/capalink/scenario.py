@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel, coupling
+from . import channel, coupling, downlink, uplink
 from .channel import ChannelPair, db_to_linear, downlink_snr_coefficient
 from .coupling import CouplingModel
 from .downlink import DualLink
@@ -126,7 +126,7 @@ def validate(scene: Scene) -> list[Finding]:
     "Structured findings; errors make the scene unusable, warnings do not."
     findings: list[Finding] = []
     ap = scene.aperture
-    area = ap.area if not isinstance(ap, DiscreteAperture) else ap.count * ap.element_area
+    area = ap.area
     for i, u in enumerate(scene.users, start=1):
         if u.rx_area * 10.0 > area:
             findings.append(
@@ -248,9 +248,74 @@ def dual_link(scene: Scene, ch: ChannelPair) -> DualLink:
 
 def auto_quadrature_order(scene: Scene) -> int:
     "Default order 20 for desk-scale apertures, 1000 for asymptotic sizes."
-    ap = scene.aperture
-    area = ap.count * ap.element_area if isinstance(ap, DiscreteAperture) else ap.area
+    area = scene.aperture.area
     return DEFAULT_QUADRATURE_ORDER if area <= LARGE_APERTURE_AREA else SWEEP_QUADRATURE_ORDER
+
+
+SWEEP_PARAMS = ("aperture_area", "occupation", "snr")
+
+SWEEP_COLUMNS = ("C_ul", "R_ul_zf", "C1_ul", "C2_ul", "C_dl", "R_dl_zf", "g1", "g2", "rho_abs2",
+                 "asy_ul", "asy_dl")
+"Columns of a sweep row after the swept value."
+
+
+def sweep(scene: Scene, param: str, values, order: int | None = None) -> list[list[float]]:
+    """Rows of a parameter sweep: each value, then the SWEEP_COLUMNS of its scene.
+
+    `aperture_area` keeps the aperture kind: a planar aperture keeps its
+    aspect ratio, a strip its length_x; a discrete array is rejected, its
+    area follows from its grid.  `occupation` sets a discrete array's
+    element area to the value times spacing^2, `snr` every user's uplink
+    SNR in dB.  The asymptotes are the sum capacities on asymptotic_pair:
+    the uplink one is the sum of the single-user capacities.  order=None
+    picks each row's rule by auto_quadrature_order.
+    """
+    discrete = isinstance(scene.aperture, DiscreteAperture)
+    if param == "aperture_area" and discrete:
+        raise SceneError("an SPDA's area is set by its grid; sweep --param occupation instead")
+    if param == "occupation" and not discrete:
+        raise SceneError("an occupation sweep needs a discrete aperture")
+    if param not in SWEEP_PARAMS:
+        raise SceneError(f"unknown sweep parameter {param!r}")
+    rows = []
+    for v in values:
+        step = _sweep_step(scene, param, float(v))
+        ch = channel_pair(step, order=auto_quadrature_order(step) if order is None else order)
+        asy = asymptotic_pair(step)
+        s1, s2 = step.ul_snr_linear
+        link = dual_link(step, ch)
+        rows.append([
+            float(v),
+            uplink.sum_capacity_ul(s1, s2, ch),
+            uplink.zf_sum_rate_ul(s1, s2, ch),
+            uplink.su_capacity(s1, ch.g1),
+            uplink.su_capacity(s2, ch.g2),
+            downlink.sum_capacity_dl(link),
+            downlink.zf_precoding_dl(link).total,
+            ch.g1,
+            ch.g2,
+            abs(ch.rho) ** 2,
+            uplink.su_capacity(s1, asy.g1) + uplink.su_capacity(s2, asy.g2),
+            downlink.sum_capacity_dl(dual_link(step, asy)),
+        ])
+    return rows
+
+
+def _sweep_step(scene: Scene, param: str, value: float) -> Scene:
+    ap = scene.aperture
+    if param == "snr":
+        return replace(scene, ul_snr_db=tuple(value for _ in scene.ul_snr_db))
+    if param == "occupation":
+        return with_aperture(
+            scene,
+            DiscreteAperture(ap.elements_x, ap.elements_z, ap.spacing, value * ap.spacing**2),
+        )
+    if isinstance(ap, LinearAperture):
+        return with_aperture(scene, LinearAperture(ap.length_x, value / ap.length_x))
+    aspect = ap.length_x / ap.length_z
+    return with_aperture(
+        scene, PlanarAperture(math.sqrt(value * aspect), math.sqrt(value / aspect))
+    )
 
 
 # Config file schema.  Unknown keys anywhere are errors so that typos in

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from capalink import scenario
+from capalink import channel, scenario
 from capalink.cli import main
+from capalink.geometry import LinearAperture, PlanarAperture
 from capalink.numerics import adaptive_integrate_2d
 from capalink.scenario import scene_defaults, scene_to_dict
 
@@ -13,6 +14,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def sweep_rows(capsys, *argv):
+    "The rows of a sweep that exits 0, each a dict from column name to value."
+    code, out = run(capsys, "sweep", *argv)
+    assert code == 0
+    header, *lines = out.strip().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
+def write_config(tmp_path, aperture):
+    "The default scene with the given aperture config, written to a file."
+    cfg = scene_to_dict(scene_defaults())
+    cfg["aperture"] = aperture
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 class TestGainCommand:
@@ -212,6 +230,59 @@ class TestSweepCommand:
         assert float(row[cols.index("asy_dl")]) == pytest.approx(expected, rel=1e-12)
 
 
+    def test_linear_area_sweep_keeps_the_strip(self, capsys, tmp_path):
+        # the area scales length_z at a fixed length_x
+        path = write_config(tmp_path, {"type": "linear", "length_x": 0.02, "length_z": 0.5})
+        rows = sweep_rows(capsys, "--config", path, "--param", "aperture_area",
+                          "--start", "0.01", "--stop", "100", "--steps", "3")
+        scene = scenario.load_scene(path)
+        s1, s2 = scene.ul_snr_linear
+        g1, g2 = (0.02 * math.sin(u.phi) / (2 * math.pi * u.range_m * math.sin(u.theta))
+                  for u in scene.users)
+        c, p = scene.snr_coefficient(0), scene.downlink_power
+        xi = (g1 - g2) / (c * g1 * g2)  # equal SNR maps, interior split as below
+        asy_ul = math.log2(1 + s1 * g1) + math.log2(1 + s2 * g2)
+        asy_dl = math.log2(1 + c * g1 * (p + xi) / 2) + math.log2(1 + c * g2 * (p - xi) / 2)
+        for row in rows:
+            strip = LinearAperture(0.02, row["aperture_area"] / 0.02)
+            assert row["g1"] == channel.gain_linear(strip, scene.users[0])
+            assert row["g2"] == channel.gain_linear(strip, scene.users[1])
+            assert row["asy_ul"] == pytest.approx(asy_ul, rel=1e-14)
+            assert row["asy_dl"] == pytest.approx(asy_dl, rel=1e-12)
+
+    def test_aperture_override_to_linear_gives_strip_rows(self, capsys):
+        rows = sweep_rows(capsys, "--aperture", "linear", "--param", "aperture_area",
+                          "--start", "1", "--stop", "4", "--steps", "2")
+        users = scene_defaults().users
+        for row in rows:
+            strip = LinearAperture(0.5, row["aperture_area"] / 0.5)
+            assert row["g1"] == channel.gain_linear(strip, users[0])
+
+    def test_planar_area_sweep_keeps_aspect_ratio(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"type": "planar", "length_x": 0.4, "length_z": 0.9})
+        argv = ["--param", "aperture_area", "--start", "0.36", "--stop", "36", "--steps", "2"]
+        rows = sweep_rows(capsys, "--config", path, *argv)
+        squares = sweep_rows(capsys, *argv)
+        users = scene_defaults().users
+        for row, square in zip(rows, squares):
+            side = math.sqrt(row["aperture_area"])
+            rect = PlanarAperture(side * 2 / 3, side * 3 / 2)
+            assert row["g1"] == pytest.approx(channel.gain_planar(rect, users[0]), rel=1e-14)
+            assert row["g2"] == pytest.approx(channel.gain_planar(rect, users[1]), rel=1e-14)
+            assert abs(row["g1"] - square["g1"]) > 1e-3 * square["g1"]
+        # at the config's own area the row is the config's scene
+        _, out = run(capsys, "gain", "--config", path)
+        assert rows[0]["g1"] == pytest.approx(json.loads(out)["g1"], rel=1e-14)
+
+    def test_occupation_sweep_honours_elements(self, capsys):
+        argv = ["sweep", "--param", "occupation", "--elements", "21",
+                "--start", "0.1", "--stop", "1", "--steps", "3"]
+        _, plain = run(capsys, *argv)
+        _, spda = run(capsys, *argv, "--aperture", "spda")
+        _, default = run(capsys, *argv[:3], *argv[5:])
+        assert plain == spda != default
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all", "--seed", "0")
@@ -341,6 +412,9 @@ class TestDeterminismAndExitCodes:
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "0"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "-1"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--steps", "1001"],
+            ["sweep", "--param", "aperture_area", "--config", "SPDA", "--start", "1", "--stop", "2"],
+            ["gain", "--config", "HUGE_ELEMENTS"],
+            ["gain", "--aperture", "spda", "--elements", "1000000001"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):
@@ -349,12 +423,14 @@ class TestDeterminismAndExitCodes:
             "NO_DIR": tmp_path / "no-such-dir" / "out.json",
             "WRITABLE": tmp_path / "out.csv",
         }
-        spda = {"type": "spda", "elements_x": 3.7, "elements_z": 3, "spacing": 0.05,
+        spda = {"type": "spda", "elements_x": 11, "elements_z": 11, "spacing": 0.05,
                 "occupation": 0.5}
         for name, key, value in [("GRID_ZERO", "grid", [0, 0]),
                                  ("HUGE_ORDER", "quadrature_order", 100000000),
                                  ("FRACTIONAL_ORDER", "quadrature_order", 20.9),
-                                 ("FRACTIONAL_ELEMENTS", "aperture", spda)]:
+                                 ("FRACTIONAL_ELEMENTS", "aperture", {**spda, "elements_x": 3.7}),
+                                 ("SPDA", "aperture", spda),
+                                 ("HUGE_ELEMENTS", "aperture", {**spda, "elements_x": 10**9 + 1})]:
             cfg = scene_to_dict(scene_defaults())
             cfg[key] = value
             paths[name] = tmp_path / f"{name}.json"
@@ -369,6 +445,7 @@ class TestDeterminismAndExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "changes,argv",
         [
@@ -378,11 +455,13 @@ class TestDeterminismAndExitCodes:
             ({"wavelength": 1e-300}, ["region", "--link", "dl"]),
             ({"wavelength": 1e-300}, ["verify", "--suite", "duality"]),
             ({"wavelength": 1e-300}, ["sweep", "--param", "snr", "--start", "1", "--stop", "2"]),
-            # the strip's correlation is NaN: a validation error, reported once
+            # 2 pi / 5e-324 is inf: the wavelength is rejected before any phase
             ({"wavelength": 5e-324, "aperture": {"type": "linear", "length_x": 0.05,
                                                  "length_z": 1.0}}, ["gain"]),
             # the strip's closed-form gain squares its length
             ({"aperture": {"type": "linear", "length_x": 0.05, "length_z": 1e300}}, ["gain"]),
+            # a 5e-324 wavelength on the default planar aperture
+            ({"wavelength": 5e-324}, ["gain"]),
         ],
     )
     def test_extreme_scene_values_exit_one(self, changes, argv, capsys, tmp_path):

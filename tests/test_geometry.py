@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from capalink.geometry import (
+    MAX_ELEMENTS_PER_SIDE,
     DiscreteAperture,
     LinearAperture,
     PlanarAperture,
@@ -110,6 +111,18 @@ class TestApertureTypes:
         assert a.occupation_ratio == pytest.approx(1.0, abs=1e-15)
         assert math.sqrt(a.element_area) == pytest.approx(a.spacing, abs=1e-15)
 
+    def test_element_count_ceiling(self):
+        # the ceiling is checked before anything is allocated per element
+        m = MAX_ELEMENTS_PER_SIDE
+        assert DiscreteAperture(m, m, 0.01, 1e-4).count == m * m
+        for counts in [(m + 2, 1), (1, m + 2), (10**9 + 1, 1)]:
+            with pytest.raises(ValueError, match="must be <="):
+                DiscreteAperture(*counts, 0.01, 1e-4)
+
+    def test_discrete_area_is_occupied_area(self):
+        a = DiscreteAperture(5, 3, 0.1, 0.004)
+        assert a.area == 15 * 0.004
+
     def test_planar_area(self):
         assert PlanarAperture(0.5, 0.5).area == pytest.approx(0.25)
         with pytest.raises(ValueError):
@@ -124,3 +137,9 @@ class TestApertureTypes:
         assert wl.k0 == pytest.approx(2 * math.pi / 0.125)
         assert wl.eta == pytest.approx(120 * math.pi)
         assert wl.isotropic_rx_area == pytest.approx(0.125**2 / (4 * math.pi))
+
+    def test_wavelength_with_infinite_wavenumber_rejected(self):
+        # 2 pi / 5e-324 overflows to inf; a phase k0 R is then NaN
+        with pytest.raises(ValueError, match="wavenumber"):
+            Wavelength(5e-324)
+        assert math.isfinite(Wavelength(1e-300).k0)

@@ -183,3 +183,14 @@ class TestDerived:
         assert scenario.auto_quadrature_order(s) == 20
         big = scenario.with_aperture(s, PlanarAperture(100.0, 100.0))
         assert scenario.auto_quadrature_order(big) == 1000
+
+    def test_sweep_rows(self):
+        rows = scenario.sweep(scene_defaults(), "snr", np.array([10.0, 20.0]))
+        assert [len(r) for r in rows] == [1 + len(scenario.SWEEP_COLUMNS)] * 2
+        assert [r[0] for r in rows] == [10.0, 20.0]
+        assert rows[0][1] < rows[1][1]  # C_ul grows with the uplink SNR
+
+    @pytest.mark.parametrize("param", ["occupation", "grid"])
+    def test_sweep_rejects_parameter_the_aperture_lacks(self, param):
+        with pytest.raises(SceneError):
+            scenario.sweep(scene_defaults(), param, [1.0])

@@ -3,9 +3,9 @@
 Every capacity formula downstream consumes only the per-user channel gains
 g_k = int |G_k|^2 and the complex correlation factor
 rho = int G_1* G_2 / sqrt(g1 g2).  This module provides the closed forms for
-planar and linear apertures, the tensor rule for continuous-aperture
-correlation, and the adaptive-oracle route to the same quantities for
-cross-checking.
+planar and linear apertures, the Chebyshev tensor rule for
+continuous-aperture correlation, and planar_oracle, which integrates every
+statistic of one or two users in one adaptive pass for cross-checking.
 
 A discretized channel has one format, the element-domain vector
 sqrt(area) Q(center) over a set of cells: the elements of a discrete array
@@ -32,7 +32,7 @@ from .geometry import (
     element_centers,
     user_position,
 )
-from .numerics import ChebyshevRule, adaptive_integrate_2d, chebyshev_nodes
+from .numerics import ORACLE_MAX_PANELS, NonConvergenceError, adaptive_integrate_2d, chebyshev_nodes
 
 log = logging.getLogger(__name__)
 
@@ -254,15 +254,14 @@ def correlation_planar(
     p1: UserPlacement,
     p2: UserPlacement,
     wl: Wavelength,
-    rule: ChebyshevRule | int = 20,
+    order: int = 20,
 ) -> complex:
     """Channel correlation factor for a planar aperture via the Chebyshev rule.
 
     The tensor-product rule of the given order over the aperture, weighted
     by sqrt(1 - psi^2) on each axis, summed by correlation_on_rule.
     """
-    if isinstance(rule, int):
-        rule = chebyshev_nodes(rule)
+    rule = chebyshev_nodes(order)
     w = rule.sqrt_weights
     return correlation_on_rule(
         wl, p1, p2, a.length_x / 2.0 * rule.nodes, a.length_z / 2.0 * rule.nodes, w, w,
@@ -270,57 +269,73 @@ def correlation_planar(
     )
 
 
-def channel_pair_planar(
-    a: PlanarAperture,
+def correlation_linear(
+    a: LinearAperture,
     p1: UserPlacement,
     p2: UserPlacement,
     wl: Wavelength,
-    rule: ChebyshevRule | int = 20,
-) -> ChannelPair:
-    return ChannelPair(
-        g1=gain_planar(a, p1),
-        g2=gain_planar(a, p2),
-        rho=correlation_planar(a, p1, p2, wl, rule),
+    order: int = 20,
+) -> complex:
+    """Channel correlation factor for a thin linear aperture via the Chebyshev rule.
+
+    The 1-D rule along the strip, on the single row x = 0; normalizing by
+    the same-rule gain sums cancels the length_x factor and the leading
+    quadrature error, and keeps |rho| <= 1.
+    """
+    rule = chebyshev_nodes(order)
+    return correlation_on_rule(
+        wl, p1, p2, np.zeros(1), a.length_z / 2.0 * rule.nodes, np.ones(1),
+        rule.sqrt_weights, "correlation_linear",
     )
 
 
-def _aperture_bounds(a: PlanarAperture):
-    return (
-        (-a.length_x / 2.0, a.length_x / 2.0),
-        (-a.length_z / 2.0, a.length_z / 2.0),
-    )
-
-
-def gain_planar_oracle(
-    a: PlanarAperture, p: UserPlacement, wl: Wavelength, rel_tol: float = 1e-8
-) -> float:
-    "Brute-force channel gain: adaptive integration of |Q|^2 over the aperture."
-
-    def integrand(x, z):
-        return np.abs(kernel_Q(wl, p, x, z)) ** 2
-
-    return adaptive_integrate_2d(integrand, _aperture_bounds(a), rel_tol).real
-
-
-def channel_pair_planar_oracle(
+def planar_oracle(
     a: PlanarAperture,
-    p1: UserPlacement,
-    p2: UserPlacement,
+    users: tuple[UserPlacement, ...],
     wl: Wavelength,
     rel_tol: float = 1e-8,
-) -> tuple[float, float, complex]:
-    """Brute-force (g1, g2, rho): three adaptive integrations, rho not clamped.
+) -> tuple[tuple[float, ...], complex | None]:
+    """Brute-force gains and correlation: one adaptive integration over the aperture.
 
-    A tuple rather than a ChannelPair, which would reject |rho| above 1.
+    The integrand evaluates each user's kernel once per node and returns
+    |Q_1|^2, and for two users |Q_2|^2 and Q_1* Q_2, on a leading axis, so
+    every statistic is integrated on one panel tree.  Returns the users'
+    gains and, for two users, rho = int Q_1* Q_2 / sqrt(g1 g2), not clamped;
+    for one user rho is None.
+
+    Two users' relative phase k0 (R_2 - R_1) is first taken at the
+    aperture's corners and centre.  A span above 2 pi ORACLE_MAX_PANELS
+    rad needs more than one panel per period along a line every leaf
+    crosses, beyond the panel budget, so NonConvergenceError is raised
+    before any integration.
     """
+    hx, hz = a.length_x / 2.0, a.length_z / 2.0
+    if len(users) == 2:
+        pts = np.array([[sx * hx, 0.0, sz * hz] for sx, sz in
+                        ((-1, -1), (1, -1), (1, 1), (-1, 1), (0, 0))])
+        r1, r2 = (np.linalg.norm(pts - user_position(u), axis=1) for u in users)
+        span = wl.k0 * float(np.ptp(r2 - r1))
+        if not span <= 2.0 * math.pi * ORACLE_MAX_PANELS:
+            raise NonConvergenceError(
+                f"the users' relative phase spans {span:.3e} rad over the aperture, "
+                f"more than {ORACLE_MAX_PANELS} oracle panels can resolve"
+            )
 
     def integrand(x, z):
-        return np.conj(kernel_Q(wl, p1, x, z)) * kernel_Q(wl, p2, x, z)
+        q = [kernel_Q(wl, u, x, z) for u in users]
+        # filled in place; np.stack would copy every component once more
+        out = np.empty((2 * len(q) - 1,) + q[0].shape, dtype=complex)
+        for k, qk in enumerate(q):
+            out[k] = np.abs(qk) ** 2
+        if len(q) == 2:
+            np.multiply(np.conj(q[0]), q[1], out=out[2])
+        return out
 
-    g1 = gain_planar_oracle(a, p1, wl, rel_tol)
-    g2 = gain_planar_oracle(a, p2, wl, rel_tol)
-    cross = adaptive_integrate_2d(integrand, _aperture_bounds(a), rel_tol)
-    return g1, g2, cross / math.sqrt(g1 * g2)
+    out = adaptive_integrate_2d(integrand, ((-hx, hx), (-hz, hz)), rel_tol)
+    gains = tuple(float(v.real) for v in out[:len(users)])
+    if len(users) == 1:
+        return gains, None
+    return gains, complex(out[2]) / math.sqrt(gains[0] * gains[1])
 
 
 def downlink_snr_coefficient(rx_area: float, sigma2: float, k0: float, eta: float) -> float:

@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import channel, coupling, downlink, uplink
 from .channel import ChannelPair, db_to_linear, downlink_snr_coefficient
 from .coupling import CouplingModel
@@ -26,7 +24,6 @@ from .geometry import (
     UserPlacement,
     Wavelength,
 )
-from .numerics import chebyshev_nodes
 
 DEFAULT_QUADRATURE_ORDER = 20
 SWEEP_QUADRATURE_ORDER = 1000
@@ -188,23 +185,10 @@ def channel_pair(
         raise SceneError("mutual coupling is modeled for discrete apertures only")
     n = order if order is not None else scene.quadrature_order
     if isinstance(ap, LinearAperture):
-        return channel.ChannelPair(
-            g1=channel.gain_linear(ap, p1),
-            g2=channel.gain_linear(ap, p2),
-            rho=_linear_correlation(ap, p1, p2, wl, n),
-        )
-    return channel.channel_pair_planar(ap, p1, p2, wl, n)
-
-
-def _linear_correlation(a, p1, p2, wl, n):
-    # 1-D Chebyshev rule along the strip (the single row x = 0); normalizing
-    # by the same-rule gain sums cancels the length_x factor and the leading
-    # quadrature error, and keeps |rho| <= 1.
-    rule = chebyshev_nodes(n)
-    return channel.correlation_on_rule(
-        wl, p1, p2, np.zeros(1), a.length_z / 2.0 * rule.nodes, np.ones(1),
-        rule.sqrt_weights, "correlation_linear",
-    )
+        gain, correlation = channel.gain_linear, channel.correlation_linear
+    else:
+        gain, correlation = channel.gain_planar, channel.correlation_planar
+    return ChannelPair(g1=gain(ap, p1), g2=gain(ap, p2), rho=correlation(ap, p1, p2, wl, n))
 
 
 def single_user_gain(scene: Scene, k: int = 0) -> float:

@@ -48,6 +48,8 @@ def _planar_or_raise(scene) -> PlanarAperture:
 def grid_channels(scene, resolution):
     "Both users' element-domain channel vectors on a uniform (n_x, n_z) aperture grid."
     ap = _planar_or_raise(scene)
+    if not scene.is_two_user:
+        raise scenario.SceneError("this check needs two users")
     return tuple(channel.grid_channel(ap, u, scene.wavelength, *resolution) for u in scene.users)
 
 
@@ -161,34 +163,26 @@ def _verify_oracle(scene) -> list[dict]:
     ap = scene.aperture
     if not isinstance(ap, PlanarAperture):
         return [_check("oracle-skipped-non-planar", 0.0, 1.0, "planar apertures only")]
-    wl, users = scene.wavelength, scene.users
-    out = []
-    if scene.is_two_user:
-        o1, o2, rho_o = channel.channel_pair_planar_oracle(ap, *users, wl)
-    else:
-        o1 = channel.gain_planar_oracle(ap, users[0], wl)
-    g1 = channel.gain_planar(ap, users[0])
-    out.append(_check("gain-1-vs-oracle", abs(g1 - o1) / o1, 1e-6))
-    if scene.is_two_user:
-        g2 = channel.gain_planar(ap, users[1])
-        out.append(_check("gain-2-vs-oracle", abs(g2 - o2) / o2, 1e-6))
-        rho_cg = scenario.channel_pair(scene).rho
-        out.append(
-            _check(
-                "rho-magnitude-vs-oracle",
-                abs(abs(rho_cg) - min(abs(rho_o), 1.0)),
-                5e-3,
-            )
+    gains, rho_o = channel.planar_oracle(ap, scene.users, scene.wavelength)
+    out = [
+        _check(f"gain-{k}-vs-oracle", abs(channel.gain_planar(ap, u) - o) / o, 1e-6)
+        for k, (u, o) in enumerate(zip(scene.users, gains), start=1)
+    ]
+    if rho_o is None:
+        return out
+    rho_cg = scenario.channel_pair(scene).rho
+    out.append(
+        _check("rho-magnitude-vs-oracle", abs(abs(rho_cg) - min(abs(rho_o), 1.0)), 5e-3)
+    )
+    phase_gap = abs(math.remainder(np.angle(rho_cg) - np.angle(rho_o), 2 * math.pi))
+    # informational: phase deviations are flagged, not failed
+    if phase_gap > 1e-3:
+        log.warning(
+            "correlation phase deviates from the oracle by %.3e rad at the "
+            "current rule order",
+            phase_gap,
         )
-        phase_gap = abs(math.remainder(np.angle(rho_cg) - np.angle(rho_o), 2 * math.pi))
-        # informational: phase deviations are flagged, not failed
-        if phase_gap > 1e-3:
-            log.warning(
-                "correlation phase deviates from the oracle by %.3e rad at the "
-                "current rule order",
-                phase_gap,
-            )
-        out.append(_check("rho-phase-vs-oracle", phase_gap, None, "informational"))
+    out.append(_check("rho-phase-vs-oracle", phase_gap, None, "informational"))
     return out
 
 

@@ -176,7 +176,7 @@ def table1_closed_form_gap(scene, resolution) -> dict:
     gamma1, gamma2 = simulate_table1(h1, h2, s1, s2)
     g1 = channel.gain_planar(ap, scene.users[0])
     g2 = channel.gain_planar(ap, scene.users[1])
-    rho = channel.channel_pair_planar_oracle(ap, *scene.users, scene.wavelength)[2]
+    rho = channel.planar_oracle(ap, scene.users, scene.wavelength)[1]
     r2 = min(abs(rho), 1.0) ** 2
     gamma2_closed = s2 * g2 * (1.0 - s1 * g1 * r2 / (1.0 + s1 * g1))
     gamma1_closed = s1 * g1

@@ -83,7 +83,7 @@ def test_criterion_01_gain_oracle_randomized():
         aperture = PlanarAperture(lx, lz)
         user = random_placement(rng)
         g = channel.gain_planar(aperture, user)
-        oracle = channel.gain_planar_oracle(aperture, user, WL)
+        (oracle,), _ = channel.planar_oracle(aperture, (user,), WL)
         worst = max(worst, abs(g - oracle) / oracle)
     elapsed = time.time() - t0
     report("criterion-01", worst <= 1e-6 and elapsed < 60,
@@ -98,7 +98,7 @@ def test_criterion_02_arctan_identity():
     user = UserPlacement(10.0, math.pi / 2, math.pi / 2, A_U)
     aperture = PlanarAperture(20.0, 20.0)
     g = channel.gain_planar(aperture, user)
-    oracle = channel.gain_planar_oracle(aperture, user, WL)
+    (oracle,), _ = channel.planar_oracle(aperture, (user,), WL)
     elapsed = time.time() - t0
     ok = abs(g - 1.0 / 6.0) <= 1e-15 and abs(oracle - 1.0 / 6.0) <= 1e-6 / 6.0
     report("criterion-02", ok and elapsed < 5,

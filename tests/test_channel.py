@@ -7,17 +7,16 @@ import pytest
 
 from capalink.channel import (
     ChannelPair,
-    channel_pair_planar_oracle,
     correlation_planar,
     db_to_linear,
     downlink_snr_coefficient,
     element_channel,
     gain_linear,
     gain_planar,
-    gain_planar_oracle,
     gain_spda,
     kernel_Q,
     pair_from_vectors,
+    planar_oracle,
 )
 from capalink.geometry import (
     DiscreteAperture,
@@ -62,7 +61,7 @@ class TestKernel:
         )
 
     def test_energy_integral_matches_gain(self):
-        got = gain_planar_oracle(APERTURE, USER1, WL)
+        (got,), _ = planar_oracle(APERTURE, (USER1,), WL)
         assert got == pytest.approx(gain_planar(APERTURE, USER1), rel=1e-6)
 
     def test_far_aperture_decay_three_halves(self):
@@ -79,7 +78,7 @@ class TestPlanarGain:
         p = UserPlacement(10.0, math.pi / 2, math.pi / 2, A_U)
         a = PlanarAperture(20.0, 20.0)
         assert gain_planar(a, p) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert gain_planar_oracle(a, p, WL) == pytest.approx(1.0 / 6.0, rel=1e-6)
+        assert planar_oracle(a, (p,), WL)[0] == pytest.approx((1.0 / 6.0,), rel=1e-6)
 
     def test_infinite_aperture_limit(self):
         a = PlanarAperture(1e6, 1e6)
@@ -88,9 +87,9 @@ class TestPlanarGain:
         assert g == pytest.approx(0.5, abs=1e-3)
 
     def test_default_scene_vs_oracle(self):
-        for user in (USER1, USER2):
-            g = gain_planar(APERTURE, user)
-            assert g == pytest.approx(gain_planar_oracle(APERTURE, user, WL), rel=1e-6)
+        gains, _ = planar_oracle(APERTURE, (USER1, USER2), WL)
+        for user, oracle in zip((USER1, USER2), gains):
+            assert gain_planar(APERTURE, user) == pytest.approx(oracle, rel=1e-6)
 
     def test_energy_conservation_bound(self):
         rng = np.random.default_rng(7)
@@ -208,7 +207,7 @@ class TestPlanarCorrelation:
 
     def test_agrees_with_oracle(self):
         rho = correlation_planar(APERTURE, USER1, USER2, WL, 40)
-        _, _, oracle = channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, oracle = planar_oracle(APERTURE, (USER1, USER2), WL)
         assert abs(abs(rho) - min(abs(oracle), 1.0)) < 5e-4
 
 
@@ -236,15 +235,13 @@ class TestOracleLargeAperture:
 
     def test_correlation_matches_reference(self):
         side = math.sqrt(self.AREA)
-        _, _, rho = channel_pair_planar_oracle(PlanarAperture(side, side), USER1, USER2, WL)
+        _, rho = planar_oracle(PlanarAperture(side, side), (USER1, USER2), WL)
         assert abs(rho - self.RHO_REF) <= 1e-9 * abs(self.RHO_REF)
 
     def test_gain_at_ten_thousand_square_meters(self):
         a = PlanarAperture(100.0, 100.0)
-        for user in (USER1, USER2):
-            assert gain_planar_oracle(a, user, WL) == pytest.approx(
-                gain_planar(a, user), rel=1e-6
-            )
+        gains, _ = planar_oracle(a, (USER1, USER2), WL)
+        assert gains == pytest.approx((gain_planar(a, USER1), gain_planar(a, USER2)), rel=1e-6)
 
 
 def spda_rho(a, p1, p2, wl):

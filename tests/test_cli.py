@@ -302,6 +302,23 @@ class TestVerifyCommand:
         assert [c["name"] for c in informational] == ["rho-phase-vs-oracle"]
         assert informational[0]["passed"]
 
+    @pytest.mark.parametrize(
+        "suite,names",
+        [
+            ("all", ["gain-1-vs-oracle", "whitening-skipped", "duality-skipped"]),
+            ("whitening", ["whitening-skipped"]),
+            ("duality", ["duality-skipped"]),
+        ],
+    )
+    def test_single_user_skips_two_user_suites(self, suite, names, capsys, tmp_path):
+        cfg = scene_to_dict(scene_defaults())
+        cfg["users"] = cfg["users"][:1]
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(capsys, "verify", "--suite", suite, "--config", str(path))
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == names
+
     def test_duality_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "duality", "--seed", "42")
         assert code == 0
@@ -314,7 +331,7 @@ class TestDeterminismAndExitCodes:
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        argv = ["region", "--link", "dl", "--splits", "51", "--seed", "7"]
+        argv = ["region", "--link", "dl", "--splits", "51"]
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -328,6 +345,7 @@ class TestDeterminismAndExitCodes:
         assert code == 0
         manifest = json.loads(man.read_text())
         assert manifest["command"] == "region"
+        assert manifest["seed"] is None  # only verify reads a seed
         assert str(out) in manifest["outputs"]
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
@@ -357,10 +375,12 @@ class TestDeterminismAndExitCodes:
         def blow_up(*a, **k):
             raise NonConvergenceError("forced")
 
-        monkeypatch.setattr(channel, "gain_planar_oracle", blow_up)
+        monkeypatch.setattr(channel, "planar_oracle", blow_up)
         assert main(["gain", "--oracle"]) == 3
 
-    def test_gain_oracle_integrates_each_statistic_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("users", [1, 2])
+    @pytest.mark.parametrize("argv", [["gain", "--oracle"], ["verify", "--suite", "oracle"]])
+    def test_oracle_integrates_once(self, argv, users, capsys, monkeypatch, tmp_path):
         from capalink import channel
 
         calls = []
@@ -369,9 +389,38 @@ class TestDeterminismAndExitCodes:
             calls.append(args)
             return adaptive_integrate_2d(*args, **kwargs)
 
+        cfg = scene_to_dict(scene_defaults())
+        cfg["users"] = cfg["users"][:users]
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg))
         monkeypatch.setattr(channel, "adaptive_integrate_2d", counted)
-        assert main(["gain", "--oracle"]) == 0
-        assert len(calls) == 3
+        assert main(argv + ["--config", str(path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [["gain", "--oracle"], ["verify", "--suite", "oracle"]])
+    def test_unresolvable_phase_exits_three_before_integrating(
+        self, argv, capsys, monkeypatch, tmp_path
+    ):
+        # k0 = 6.3e300: the users' relative phase spans 1.6e298 rad over the aperture
+        from capalink import numerics
+
+        calls = []
+        gk_panels = numerics._gk_panels
+
+        def counted(*args):
+            calls.append(args)
+            return gk_panels(*args)
+
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({**scene_to_dict(scene_defaults()), "wavelength": 1e-300}))
+        monkeypatch.setattr(numerics, "_gk_panels", counted)
+        assert main(argv + ["--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "rad over the aperture" in errors[0]
+        assert captured.err.splitlines()[-1] == errors[0]
+        assert calls == []
 
     def test_singular_coupled_system_exits_three(self, capsys):
         # a subnormal termination overflows the single-element coupled solve
@@ -415,6 +464,12 @@ class TestDeterminismAndExitCodes:
             ["sweep", "--param", "aperture_area", "--config", "SPDA", "--start", "1", "--stop", "2"],
             ["gain", "--config", "HUGE_ELEMENTS"],
             ["gain", "--aperture", "spda", "--elements", "1000000001"],
+            # only verify reads a seed
+            ["scene", "print", "--seed", "1"],
+            ["gain", "--seed", "1"],
+            ["capacity", "--seed", "1"],
+            ["region", "--seed", "1"],
+            ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--seed", "1"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):

@@ -35,7 +35,6 @@ def _float(lo, hi):
 
 
 COMMON = {
-    "--seed": _mostly(st.integers(0, 10**6), [-2]),
     "--quad-order": _mostly(st.sampled_from([1, 7, 20, 64]), [-1, 0, 10**8]),
     "--aperture": st.sampled_from(["planar", "linear", "spda", "bogus"]),
     "--occupation": _float(0.05, 1.0),
@@ -60,7 +59,10 @@ COMMANDS = {
         "--splits": _mostly(st.integers(2, 300), [-1, 0, 1, 10**8]),
     },
     "sweep": {"--steps": _mostly(st.integers(1, 4), [-2, 0, 1001, 10**9])},
-    "verify": {"--suite": st.sampled_from(["all", "whitening", "duality", "oracle", "bogus"])},
+    "verify": {
+        "--suite": st.sampled_from(["all", "whitening", "duality", "oracle", "bogus"]),
+        "--seed": _mostly(st.integers(0, 10**6), [-2]),
+    },
 }
 COUPLED = {"gain", "capacity", "region"}
 "Commands that take the coupling options; the others must reject them."

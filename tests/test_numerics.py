@@ -104,7 +104,7 @@ class TestAdaptiveOracle:
 
     def test_kernel_energy_matches_closed_form(self):
         a = PlanarAperture(0.5, 0.5)
-        got = channel.gain_planar_oracle(a, USER1, WL)
+        (got,), _ = channel.planar_oracle(a, (USER1,), WL)
         assert got == pytest.approx(channel.gain_planar(a, USER1), rel=1e-6)
 
     def test_rejects_bad_tolerance(self):
@@ -139,21 +139,73 @@ class TestAdaptiveOracle:
         with pytest.raises(NonConvergenceError):
             adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)))
 
-    def test_batches_stay_within_chunk_bound(self, monkeypatch):
-        # a ten-panel bound, so that the oscillating integrand needs many batches
-        bound = 10 * 15 * 15
+    @pytest.mark.parametrize("components", [1, 3])
+    def test_batches_stay_within_chunk_bound(self, monkeypatch, components):
+        # a ten-panel bound per component, so that the oscillating integrand
+        # needs many batches; the bound counts nodes times components
+        bound = 10 * 15 * 15 * components
         monkeypatch.setattr(numerics, "ORACLE_CHUNK_NODES", bound)
+        scales = np.array([1.0, 2.0, -1j])[:components, None, None, None]
         sizes = []
 
         def wave(x, z):
-            sizes.append(np.broadcast(x, z).size)
-            return np.exp(1j * 40.0 * (x + z))
+            w = np.exp(1j * 40.0 * (x + z))
+            out = w if components == 1 else scales * w
+            sizes.append(out.size)
+            return out
 
         val = adaptive_integrate_2d(wave, ((0.0, 1.0), (0.0, 1.0)))
         exact = ((np.exp(40j) - 1.0) / 40j) ** 2
-        assert abs(val - exact) <= 1e-8 * abs(exact)
+        expected = exact if components == 1 else scales.ravel() * exact
+        assert np.all(np.abs(val - expected) <= 1e-8 * np.abs(expected))
         assert max(sizes) == bound
         assert len(sizes) > 10
+
+
+# users of perfbench's fault (c) scene: different directions on a 1.18 m square
+FAULT_C_USERS = (
+    UserPlacement(11.3, math.radians(65.0), math.radians(33.0), WL.isotropic_rx_area),
+    UserPlacement(9.8, math.radians(151.0), math.radians(71.0), WL.isotropic_rx_area),
+)
+
+
+class TestPlanarOracle:
+    @pytest.mark.parametrize(
+        "side,users",
+        [
+            (0.5, (USER1, USER2)),
+            (1.18, FAULT_C_USERS),
+            (math.sqrt(188.03015465431966), (USER1, USER2)),
+        ],
+        ids=["default", "fault-c", "188m2"],
+    )
+    def test_matches_three_scalar_integrations(self, side, users):
+        bounds = ((-side / 2, side / 2), (-side / 2, side / 2))
+        p1, p2 = users
+        gains = [
+            adaptive_integrate_2d(lambda x, z, u=u: np.abs(channel.kernel_Q(WL, u, x, z)) ** 2,
+                                  bounds).real
+            for u in users
+        ]
+        cross = adaptive_integrate_2d(
+            lambda x, z: np.conj(channel.kernel_Q(WL, p1, x, z)) * channel.kernel_Q(WL, p2, x, z),
+            bounds,
+        )
+        rho = cross / math.sqrt(gains[0] * gains[1])
+        got_gains, got_rho = channel.planar_oracle(PlanarAperture(side, side), users, WL)
+        assert got_gains == pytest.approx(gains, rel=1e-12, abs=0.0)
+        assert abs(got_rho - rho) <= 1e-12 * abs(rho)
+
+    @pytest.mark.parametrize("p2", [
+        USER1,
+        UserPlacement(10.001, math.pi / 6, math.pi / 3, WL.isotropic_rx_area),
+        UserPlacement(10.0, math.pi / 6 + 1e-4, math.pi / 3, WL.isotropic_rx_area),
+        USER2,
+    ])
+    def test_correlation_obeys_cauchy_schwarz(self, p2):
+        # positive Kronrod weights on one shared tree keep |rho| <= 1 up to rounding
+        _, rho = channel.planar_oracle(PlanarAperture(0.5, 0.5), (USER1, p2), WL)
+        assert abs(rho) <= 1.0 + 1e-15
 
 
 class TestCgConvergenceAgainstOracle:

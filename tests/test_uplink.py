@@ -165,7 +165,7 @@ class TestSicSnrs:
         gamma1, gamma2 = simulate_table1(g1f, g2f, 1e3, 1e4)
         g1 = channel.gain_planar(APERTURE, USER1)
         g2 = channel.gain_planar(APERTURE, USER2)
-        _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, rho = channel.planar_oracle(APERTURE, (USER1, USER2), WL)
         expected = 1e4 * g2 * (1 - 1e3 * g1 * abs(rho) ** 2 / (1 + 1e3 * g1))
         assert gamma2 == pytest.approx(expected, rel=1e-3)
         assert gamma1 == pytest.approx(1e3 * g1, rel=1e-3)
@@ -241,7 +241,7 @@ class TestZeroForcing:
         assert abs(np.vdot(v1, g2f)) < 1e-10
         snr_scale = abs(np.vdot(v1, g1f)) ** 2 / norm2(v1)
         g1 = channel.gain_planar(APERTURE, USER1)
-        _, _, rho = channel.channel_pair_planar_oracle(APERTURE, USER1, USER2, WL)
+        _, rho = channel.planar_oracle(APERTURE, (USER1, USER2), WL)
         assert snr_scale == pytest.approx(g1 * (1 - abs(rho) ** 2), rel=1e-3)
 
 

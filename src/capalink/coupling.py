@@ -4,8 +4,8 @@ Coupling distorts the element-domain channel vector as h -> C h with
 C = (z_a + z_t) (Z + z_t I)^(-1), where Z is the mutual impedance matrix.
 The diagonal of Z is set to zero: self-impedance is absorbed into z_a, which
 keeps (Z + z_t I) well conditioned at the default 50-ohm termination.  The
-distorted vectors feed the same (g, rho) statistics and capacity formulas as
-the uncoupled channel.
+distorted vectors of one or two users feed the same statistics and capacity
+formulas as the uncoupled channel.
 
 Neither C nor Z is ever formed.  The elements sit on a regular lattice, so
 Z depends only on the index offset between two elements: its action is a
@@ -13,7 +13,7 @@ Z depends only on the index offset between two elements: its action is a
 FFT on a circulant embedding.  (Z + z_t I) x = h is solved by GMRES, right
 preconditioned by the two-level Strang circulant of the central offsets,
 which one FFT inverts (Strang, Stud. Appl. Math. 74, 1986; Chan and Jin,
-An Introduction to Iterative Toeplitz Solvers, SIAM 2007).  Both users'
+An Introduction to Iterative Toeplitz Solvers, SIAM 2007).  The users'
 vectors and a fixed random +-1 column iterate in one batched Krylov loop;
 ||A||_1 ||A^(-1) r||_1 / ||r||_1 is a cheap lower estimate of the condition
 number (Dixon, SIAM J. Numer. Anal. 20, 1983), with ||A||_1 taken from the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelPair, element_channel, pair_from_vectors
+from .channel import Statistics, element_channel, pair_from_vectors
 from .geometry import DiscreteAperture, UserPlacement, Wavelength
 
 log = logging.getLogger(__name__)
@@ -273,36 +273,36 @@ def _gmres(
 
 def coupled_pair(
     a: DiscreteAperture,
-    p1: UserPlacement,
-    p2: UserPlacement,
+    users: tuple[UserPlacement, ...],
     wl: Wavelength,
     model: CouplingModel | None = None,
-) -> ChannelPair:
-    """Channel statistics of the mutually coupled discrete array.
+) -> Statistics:
+    """Channel statistics of one or two users on the mutually coupled discrete array.
 
-    Solves (Z + z_t I) x = h for both users' element vectors, scales by
+    Solves (Z + z_t I) x = h for each user's element vector, scales by
     z_a + z_t, and warns when the condition estimate exceeds
     CONDITION_REPORT_THRESHOLD.
     """
     model = model or CouplingModel()
+    n = len(users)
     # a fixed seed keeps the estimate, and so the warning, reproducible
     probe = np.random.default_rng(0).integers(0, 2, a.count) * 2.0 - 1.0
-    rhs = np.vstack([element_channel(a, p1, wl), element_channel(a, p2, wl), probe])
-    tolerance = np.array([RESIDUAL_TOLERANCE, RESIDUAL_TOLERANCE, PROBE_TOLERANCE])
+    rhs = np.vstack([*(element_channel(a, u, wl) for u in users), probe])
+    tolerance = np.array([RESIDUAL_TOLERANCE] * n + [PROBE_TOLERANCE])
     with np.errstate(all="ignore"):  # a singular system raises below instead
         system = coupling_system(a, wl, model)
         x, steps, failures = _gmres(system, rhs, tolerance)
-    log.debug("coupled solve steps: user 1 %d, user 2 %d, probe %d", *steps)
-    for failure in failures[:2]:
+    log.debug("coupled solve steps: users %s, probe %d", steps[:n], steps[n])
+    for failure in failures[:n]:
         if failure:
             raise np.linalg.LinAlgError(failure)
-    if not np.all(np.isfinite(x[:2])):
+    if not np.all(np.isfinite(x[:n])):
         raise np.linalg.LinAlgError("coupling system matrix is numerically singular")
-    if failures[2] or not np.all(np.isfinite(x[2])):
-        log.warning("coupling system condition not estimated: %s", failures[2] or "probe overflowed")
+    if failures[n] or not np.all(np.isfinite(x[n])):
+        log.warning("coupling system condition not estimated: %s", failures[n] or "probe overflowed")
     else:
-        cond = system.norm1 * np.linalg.norm(x[2], 1) / a.count
+        cond = system.norm1 * np.linalg.norm(x[n], 1) / a.count
         if cond > CONDITION_REPORT_THRESHOLD:
             log.warning("coupling system is ill conditioned: cond estimate = %.3e", cond)
     scale = model.z_antenna + model.z_termination
-    return pair_from_vectors(scale * x[0], scale * x[1])
+    return pair_from_vectors(*(scale * x[:n]))

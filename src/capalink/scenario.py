@@ -1,20 +1,22 @@
 """Scene assembly: geometry, budgets, and defaults bound into one object.
 
 A Scene is the validated unit of work for the CLI and the verification
-suites.  Defaults reproduce the reference simulation setup: a 0.5 m x 0.5 m
-planar aperture at 2.4 GHz-band wavelength 0.125 m serving two co-directional
-users at 10 m and 20 m with 30/40 dB uplink transmit SNRs and a 50 dB
-downlink sum SNR.
+suites; channel_pair, the one statistics entry, turns it into the gains of
+one or two users and, for two, rho.  Defaults reproduce the reference
+simulation setup: a 0.5 m x 0.5 m planar aperture at 2.4 GHz-band wavelength
+0.125 m serving two co-directional users at 10 m and 20 m with 30/40 dB
+uplink transmit SNRs and a 50 dB downlink sum SNR.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
 from . import channel, coupling, downlink, uplink
-from .channel import ChannelPair, db_to_linear, downlink_snr_coefficient
+from .channel import ChannelPair, Statistics, db_to_linear, downlink_snr_coefficient
 from .coupling import CouplingModel
 from .downlink import DualLink
 from .geometry import (
@@ -24,6 +26,8 @@ from .geometry import (
     UserPlacement,
     Wavelength,
 )
+
+log = logging.getLogger(__name__)
 
 DEFAULT_QUADRATURE_ORDER = 20
 SWEEP_QUADRATURE_ORDER = 1000
@@ -41,7 +45,7 @@ class SceneError(ValueError):
 
 @dataclass(frozen=True)
 class Finding:
-    severity: str  # "error" | "warning"
+    severity: str  # "warning"
     message: str
 
 
@@ -120,7 +124,7 @@ def scene_defaults() -> Scene:
 
 
 def validate(scene: Scene) -> list[Finding]:
-    "Structured findings; errors make the scene unusable, warnings do not."
+    "Warnings on the scene's model assumptions; computes no statistics."
     findings: list[Finding] = []
     ap = scene.aperture
     area = ap.area
@@ -146,21 +150,6 @@ def validate(scene: Scene) -> list[Finding]:
         findings.append(
             Finding("warning", "linear aperture is not thin (length_x > length_z/10)")
         )
-    if scene.is_two_user:
-        try:
-            # coincidence screening only; a coarse rule is enough
-            ch = channel_pair(scene, order=min(scene.quadrature_order, 20))
-        except channel.CorrelationOverflowError as exc:
-            findings.append(Finding("error", str(exc)))
-        else:
-            if ch.rho_bar < 1e-9:
-                findings.append(
-                    Finding(
-                        "warning",
-                        "users are spatially coincident (rho_bar ~ 0); superposition "
-                        "coding brings no gain over the stronger user",
-                    )
-                )
     return findings
 
 
@@ -168,37 +157,41 @@ def channel_pair(
     scene: Scene,
     order: int | None = None,
     coupling_model: CouplingModel | None = None,
-) -> ChannelPair:
-    "Sufficient statistics (g1, g2, rho) for the scene's aperture variant."
-    if not scene.is_two_user:
-        raise SceneError("channel_pair needs a two-user scene")
-    p1, p2 = scene.users
+) -> Statistics:
+    """Statistics of the scene's one or two users, for every aperture kind.
+
+    A discrete array's statistics come from its element vectors, coupled
+    if a model is given.  A planar or linear aperture's gains come from
+    closed forms, then rho from the Chebyshev rule of the given order
+    (default: the scene's).  Coincident users (rho_bar < 1e-9) log a
+    warning.
+    """
     wl = scene.wavelength
     ap = scene.aperture
     if isinstance(ap, DiscreteAperture):
         if coupling_model is not None:
-            return coupling.coupled_pair(ap, p1, p2, wl, coupling_model)
-        return channel.pair_from_vectors(
-            channel.element_channel(ap, p1, wl), channel.element_channel(ap, p2, wl)
-        )
-    if coupling_model is not None:
+            stats = coupling.coupled_pair(ap, scene.users, wl, coupling_model)
+        else:
+            stats = channel.pair_from_vectors(
+                *(channel.element_channel(ap, u, wl) for u in scene.users)
+            )
+    elif coupling_model is not None:
         raise SceneError("mutual coupling is modeled for discrete apertures only")
-    n = order if order is not None else scene.quadrature_order
-    if isinstance(ap, LinearAperture):
-        gain, correlation = channel.gain_linear, channel.correlation_linear
     else:
-        gain, correlation = channel.gain_planar, channel.correlation_planar
-    return ChannelPair(g1=gain(ap, p1), g2=gain(ap, p2), rho=correlation(ap, p1, p2, wl, n))
-
-
-def single_user_gain(scene: Scene, k: int = 0) -> float:
-    u = scene.users[k]
-    ap = scene.aperture
-    if isinstance(ap, DiscreteAperture):
-        return channel.gain_spda(ap, u, scene.wavelength)
-    if isinstance(ap, LinearAperture):
-        return channel.gain_linear(ap, u)
-    return channel.gain_planar(ap, u)
+        if isinstance(ap, LinearAperture):
+            gain, correlation = channel.gain_linear, channel.correlation_linear
+        else:
+            gain, correlation = channel.gain_planar, channel.correlation_planar
+        gains = tuple(gain(ap, u) for u in scene.users)
+        n = order if order is not None else scene.quadrature_order
+        rho = correlation(ap, *scene.users, wl, n) if scene.is_two_user else None
+        stats = Statistics(gains, rho)
+    if stats.rho is not None and stats.pair.rho_bar < 1e-9:
+        log.warning(
+            "users are spatially coincident (rho_bar ~ 0); superposition "
+            "coding brings no gain over the stronger user"
+        )
+    return stats
 
 
 def asymptotic_pair(scene: Scene) -> ChannelPair:
@@ -264,7 +257,7 @@ def sweep(scene: Scene, param: str, values, order: int | None = None) -> list[li
     rows = []
     for v in values:
         step = _sweep_step(scene, param, float(v))
-        ch = channel_pair(step, order=auto_quadrature_order(step) if order is None else order)
+        ch = channel_pair(step, order=auto_quadrature_order(step) if order is None else order).pair
         asy = asymptotic_pair(step)
         s1, s2 = step.ul_snr_linear
         link = dual_link(step, ch)

@@ -48,7 +48,7 @@ def dense_pair(a, p1, p2, wl, model):
     "Coupled channel statistics by one dense LU solve."
     h = np.column_stack([element_channel(a, p1, wl), element_channel(a, p2, wl)])
     x = (model.z_antenna + model.z_termination) * np.linalg.solve(system_matrix(a, wl, model), h)
-    return pair_from_vectors(x[:, 0], x[:, 1])
+    return pair_from_vectors(x[:, 0], x[:, 1]).pair
 
 
 class DenseSystem:

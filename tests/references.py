@@ -1,12 +1,12 @@
 """Reference helpers that only the tests call.
 
 The library keeps only what the program runs.  These are the independent
-routes the tests check it against: plain Chebyshev-Gauss integration, a 1-D
-front end of the adaptive oracle, the white-noise sampler of a weighted
-grid, the MRC and ZF detectors and the MRT current on element-domain
-vectors, the whitening quadratic and inverse, the dual objective, the
-grid-noise and Table-I pipeline checks, and tests of a rate region given as
-its counterclockwise vertex tuple.
+routes the tests check it against: a discrete array's one-user gain, plain
+Chebyshev-Gauss integration, a 1-D front end of the adaptive oracle, the
+white-noise sampler of a weighted grid, the MRC and ZF detectors and the MRT
+current on element-domain vectors, the whitening quadratic and inverse, the
+dual objective, the grid-noise and Table-I pipeline checks, and tests of a
+rate region given as its counterclockwise vertex tuple.
 """
 
 import math
@@ -19,6 +19,15 @@ from capalink.numerics import ChebyshevRule, _adaptive_integrate
 from capalink.regions import HULL_EPS, _cross
 from capalink.uplink import simulate_table1, sum_capacity_ul
 from capalink.verify import grid_channels
+
+# channel
+
+
+def gain_spda(a, p, wl) -> float:
+    "Discrete-array gain: the squared norm of the element channel vector."
+    (g,), _ = channel.pair_from_vectors(channel.element_channel(a, p, wl))
+    return g
+
 
 # numerics
 

@@ -112,7 +112,7 @@ def test_criterion_03_infinite_aperture_limit():
     "Million-meter aperture: half-power gains and vanishing interference."
     t0 = time.time()
     scene = scenario.with_aperture(DEFAULT, PlanarAperture(1e6, 1e6))
-    ch = scenario.channel_pair(scene, order=1000)
+    ch = scenario.channel_pair(scene, order=1000).pair
     s1, s2 = scene.ul_snr_linear
     c_sum = sum_capacity_ul(s1, s2, ch)
     asymptote = math.log2(1 + s1 / 2) + math.log2(1 + s2 / 2)
@@ -249,7 +249,7 @@ def _zf_gap_sweep():
     for area in areas:
         side = math.sqrt(area)
         step = scenario.with_aperture(DEFAULT, PlanarAperture(side, side))
-        ch = scenario.channel_pair(step, order=scenario.auto_quadrature_order(step))
+        ch = scenario.channel_pair(step, order=scenario.auto_quadrature_order(step)).pair
         s1, s2 = step.ul_snr_linear
         ul_gaps.append(sum_capacity_ul(s1, s2, ch) - zf_sum_rate_ul(s1, s2, ch))
         link = scenario.dual_link(step, ch)
@@ -314,7 +314,7 @@ def test_criterion_10_spda_capa_consistency():
     "Full-occupation 41x41 array within 2% of the continuous aperture."
     t0 = time.time()
     s1, s2 = DEFAULT.ul_snr_linear
-    ch_capa = scenario.channel_pair(DEFAULT, order=40)
+    ch_capa = scenario.channel_pair(DEFAULT, order=40).pair
     c_capa = sum_capacity_ul(s1, s2, ch_capa)
 
     m = 41
@@ -323,7 +323,7 @@ def test_criterion_10_spda_capa_consistency():
     capacities = []
     for occ in occupations:
         aperture = DiscreteAperture(m, m, d, occ * d * d)
-        ch = scenario.channel_pair(scenario.with_aperture(DEFAULT, aperture))
+        ch = scenario.channel_pair(scenario.with_aperture(DEFAULT, aperture)).pair
         capacities.append(sum_capacity_ul(s1, s2, ch))
     rel = abs(capacities[-1] - c_capa) / c_capa
     monotone = all(b >= a - 1e-12 for a, b in zip(capacities, capacities[1:]))
@@ -367,9 +367,9 @@ def test_criterion_12_coupled_region_containment():
     plain = pair_from_vectors(
         element_channel(spda, DEFAULT.users[0], WL),
         element_channel(spda, DEFAULT.users[1], WL),
-    )
-    coupled = coupled_pair(spda, DEFAULT.users[0], DEFAULT.users[1], WL, model)
-    coupled_proxy = coupled_pair(capa_proxy, DEFAULT.users[0], DEFAULT.users[1], WL, model)
+    ).pair
+    coupled = coupled_pair(spda, DEFAULT.users, WL, model).pair
+    coupled_proxy = coupled_pair(capa_proxy, DEFAULT.users, WL, model).pair
 
     plain_stats = _pentagon_stats(plain, s1, s2)
     coupled_stats = _pentagon_stats(coupled, s1, s2)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from capalink import channel, scenario
@@ -33,6 +34,28 @@ def write_config(tmp_path, aperture):
     return str(path)
 
 
+def one_user_config(tmp_path, aperture=None):
+    "The default scene with its first user only, and the given aperture config."
+    cfg = scene_to_dict(scene_defaults())
+    cfg["users"] = cfg["users"][:1]
+    if aperture is not None:
+        cfg["aperture"] = aperture
+    path = tmp_path / "one-user.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def far_users(range_m):
+    "The default users' config entries with user 1 moved out to range_m."
+    users = scene_to_dict(scene_defaults())["users"]
+    users[0]["range"] = range_m
+    return users
+
+
+FAR_USERS = far_users(1e103)
+"User 1 so far away that the rule's gain sum for it underflows to 0."
+
+
 class TestGainCommand:
     def test_oracle_gap_small(self, capsys):
         code, out = run(capsys, "gain", "--oracle")
@@ -61,6 +84,34 @@ class TestGainCommand:
         rep = json.loads(out)
         assert "rho_abs2" not in rep and "g2" not in rep
 
+    def test_one_user_spda_is_coupled(self, capsys, tmp_path):
+        argv = ["gain", "--aperture", "spda", "--elements", "15", "--mutual-coupling",
+                "--za", "5", "--zt", "500", "--z-scale", "0.9"]
+        _, out = run(capsys, *argv)
+        two = json.loads(out)
+        _, out = run(capsys, *argv, "--config", one_user_config(tmp_path))
+        one = json.loads(out)
+        _, out = run(capsys, *argv[:5], "--config", one_user_config(tmp_path))
+        uncoupled = json.loads(out)
+        assert one["g1"] == pytest.approx(two["g1"], rel=1e-14, abs=0.0)
+        assert abs(one["g1"] - uncoupled["g1"]) > 0.5 * uncoupled["g1"]
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [{"type": "planar", "length_x": 0.5, "length_z": 0.5},
+         {"type": "linear", "length_x": 0.05, "length_z": 1.0}],
+    )
+    def test_one_user_coupling_of_a_continuous_aperture_exits_one(
+        self, aperture, capsys, tmp_path
+    ):
+        path = one_user_config(tmp_path, aperture)
+        assert main(["gain", "--mutual-coupling", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: mutual coupling is modeled for discrete apertures only"
+        ]
+
 
 class TestCapacityCommand:
     def test_zf_dominated(self, capsys):
@@ -87,7 +138,7 @@ class TestCapacityCommand:
         assert code == 0
         rep = json.loads(out)
         s = scenario.scene_from_dict(cfg)
-        g = scenario.single_user_gain(s, 0)
+        (g,), _ = scenario.channel_pair(s)
         assert rep["capacity"] == pytest.approx(math.log2(1 + 1e3 * g))
 
 
@@ -517,6 +568,16 @@ class TestDeterminismAndExitCodes:
             ({"aperture": {"type": "linear", "length_x": 0.05, "length_z": 1e300}}, ["gain"]),
             # a 5e-324 wavelength on the default planar aperture
             ({"wavelength": 5e-324}, ["gain"]),
+            # user 1's gain sum on the rule underflows to 0
+            ({"users": FAR_USERS}, ["gain"]),
+            ({"users": FAR_USERS}, ["capacity"]),
+            ({"users": FAR_USERS}, ["sweep", "--param", "snr", "--start", "1", "--stop", "2"]),
+            # user 1's squared distances overflow as well, and the phases with them
+            ({"users": far_users(1e160)}, ["gain"]),
+            # k0 (R2 - R1) overflows: the cross sum is nan
+            ({"wavelength": 1e-307}, ["gain"]),
+            ({"wavelength": 1e-307, "aperture": {"type": "linear", "length_x": 0.05,
+                                                 "length_z": 1.0}}, ["gain"]),
         ],
     )
     def test_extreme_scene_values_exit_one(self, changes, argv, capsys, tmp_path):
@@ -526,6 +587,19 @@ class TestDeterminismAndExitCodes:
         assert main(argv + ["--config", str(path)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_user_names_the_gain_sums(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({**scene_to_dict(scene_defaults()), "users": FAR_USERS}))
+        assert main(["gain", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: correlation_planar cannot normalize rho: its gain sums 0 and 0.0203092 "
+            "have no positive finite geometric mean"
+        ]
+        # scene print computes no statistics
+        assert main(["scene", "print", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_largest_splits_and_steps_run(self, capsys):
         from capalink.cli import MAX_SWEEP_STEPS
@@ -542,3 +616,33 @@ class TestDeterminismAndExitCodes:
         value = out.strip().splitlines()[2].split(",")[0]
         mantissa = value.split("e")[0]
         assert len(mantissa.split(".")[1]) == 16
+
+
+class TestWorkCounts:
+    "Each command computes its statistics once: rule nodes and kernel points, counted."
+
+    @pytest.mark.parametrize(
+        "argv,rule_nodes,kernel_points",
+        [
+            (["scene", "print"], 0, 0),
+            (["capacity", "--link", "ul"], 400, 0),
+            (["capacity", "--link", "dl"], 400, 0),
+            (["gain", "--aperture", "spda", "--elements", "41", "--mutual-coupling"], 0, 3362),
+        ],
+    )
+    def test_counts(self, argv, rule_nodes, kernel_points, capsys, monkeypatch):
+        counts = {"rule": 0, "kernel": 0}
+        on_rule, kernel = channel.correlation_on_rule, channel.kernel_Q
+
+        def counted_rule(wl, p1, p2, x, z, *rest):
+            counts["rule"] += len(x) * len(z)
+            return on_rule(wl, p1, p2, x, z, *rest)
+
+        def counted_kernel(wl, p, x, z):
+            counts["kernel"] += np.broadcast(x, z).size
+            return kernel(wl, p, x, z)
+
+        monkeypatch.setattr(channel, "correlation_on_rule", counted_rule)
+        monkeypatch.setattr(channel, "kernel_Q", counted_kernel)
+        assert main(argv) == 0
+        assert counts == {"rule": rule_nodes, "kernel": kernel_points}

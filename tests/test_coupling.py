@@ -103,7 +103,7 @@ BOX_CORNERS = [
 
 def _assert_matches_dense(a, model):
     ref = dense_pair(a, USER1, USER2, WL, model)
-    got = coupled_pair(a, USER1, USER2, WL, model)
+    got = coupled_pair(a, (USER1, USER2), WL, model).pair
     assert got.g1 == pytest.approx(ref.g1, rel=1e-12, abs=0.0)
     assert got.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0)
     assert abs(got.rho - ref.rho) <= 1e-12 * abs(ref.rho)
@@ -118,8 +118,8 @@ class TestCoupledSolve:
         c = coupling_matrix(a, WL, model)
         ref = pair_from_vectors(
             c @ element_channel(a, USER1, WL), c @ element_channel(a, USER2, WL)
-        )
-        got = coupled_pair(a, USER1, USER2, WL, model)
+        ).pair
+        got = coupled_pair(a, (USER1, USER2), WL, model).pair
         assert got.g1 == pytest.approx(ref.g1, rel=1e-12, abs=0.0)
         assert got.g2 == pytest.approx(ref.g2, rel=1e-12, abs=0.0)
         assert abs(got.rho - ref.rho) <= 1e-12 * abs(ref.rho)
@@ -179,13 +179,13 @@ class TestCoupledSolve:
         assert np.linalg.cond(system) == pytest.approx(1e10, rel=1e-3)
         monkeypatch.setattr(coupling, "coupling_system", lambda *args: DenseSystem(system))
         with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
-            coupled_pair(a, USER1, USER2, WL, MODEL)
+            coupled_pair(a, (USER1, USER2), WL, MODEL)
         assert "ill conditioned" in caplog.text
 
     def test_well_conditioned_system_is_quiet(self, caplog):
         a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
         with caplog.at_level(logging.WARNING, logger="capalink.coupling"):
-            coupled_pair(a, USER1, USER2, WL, MODEL)
+            coupled_pair(a, (USER1, USER2), WL, MODEL)
         assert caplog.text == ""
 
     def test_singular_system_raises(self, monkeypatch):
@@ -195,20 +195,20 @@ class TestCoupledSolve:
             coupling, "coupling_system", lambda *args: DenseSystem(np.ones((a.count, a.count)))
         )
         with pytest.raises(np.linalg.LinAlgError):
-            coupled_pair(a, USER1, USER2, WL, MODEL)
+            coupled_pair(a, (USER1, USER2), WL, MODEL)
 
     def test_overflowing_solution_raises(self):
         # a subnormal termination on a single element overflows 1 / (Z + z_t)
         a = DiscreteAperture(1, 1, 0.05, A_U)
         with pytest.raises(np.linalg.LinAlgError):
-            coupled_pair(a, USER1, USER2, WL, CouplingModel(z_termination=1e-320))
+            coupled_pair(a, (USER1, USER2), WL, CouplingModel(z_termination=1e-320))
 
     def test_unconverged_solve_raises(self, monkeypatch):
         # the default 15^2 array needs about 40 steps to reach the tolerance
         monkeypatch.setattr(coupling, "MAX_ITERATIONS", 5)
         a = DiscreteAperture(15, 15, WL.lam / 3, A_U)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            coupled_pair(a, USER1, USER2, WL, MODEL)
+            coupled_pair(a, (USER1, USER2), WL, MODEL)
 
     def test_61_array_gain_peaks_under_100_mb(self):
         # in a fresh interpreter, which reports its own peak resident set;
@@ -229,25 +229,25 @@ class TestCoupledChannel:
         a = DiscreteAperture(5, 5, WL.lam / 3, A_U)
         base = pair_from_vectors(
             element_channel(a, USER1, WL), element_channel(a, USER2, WL)
-        )
+        ).pair
         scaled = pair_from_vectors(
             2.0 * np.eye(a.count) @ element_channel(a, USER1, WL),
             2.0 * np.eye(a.count) @ element_channel(a, USER2, WL),
-        )
+        ).pair
         assert scaled.g1 == pytest.approx(4 * base.g1, rel=1e-12)
         assert scaled.g2 == pytest.approx(4 * base.g2, rel=1e-12)
         assert abs(scaled.rho) == pytest.approx(abs(base.rho), abs=1e-12)
 
     def test_correlation_bounded(self):
         a = DiscreteAperture(7, 7, WL.lam / 3, A_U)
-        pair = coupled_pair(a, USER1, USER2, WL, MODEL)
+        pair = coupled_pair(a, (USER1, USER2), WL, MODEL).pair
         assert abs(pair.rho) <= 1.0 + 1e-12
 
 
 class TestCoupledCapacity:
     def test_order_invariance_survives_coupling(self):
         a = DiscreteAperture(7, 7, WL.lam / 3, A_U)
-        ch = coupled_pair(a, USER1, USER2, WL, MODEL)
+        ch = coupled_pair(a, (USER1, USER2), WL, MODEL).pair
         csum = sum_capacity_ul(1e3, 1e4, ch)
         for order in SicOrder:
             assert sic_rates(1e3, 1e4, ch, order).total == pytest.approx(csum, abs=1e-12)
@@ -258,8 +258,8 @@ class TestCoupledCapacity:
         a = DiscreteAperture(m, m, WL.lam / 3, A_U)
         plain = pair_from_vectors(
             element_channel(a, USER1, WL), element_channel(a, USER2, WL)
-        )
-        coupled = coupled_pair(a, USER1, USER2, WL, MODEL)
+        ).pair
+        coupled = coupled_pair(a, (USER1, USER2), WL, MODEL).pair
         assert coupled.g1 < plain.g1
         assert coupled.g2 < plain.g2
         assert sum_capacity_ul(1e3, 1e4, coupled) < sum_capacity_ul(1e3, 1e4, plain)

@@ -138,15 +138,15 @@ class TestConfigSchema:
 class TestDerived:
     def test_channel_pair_variants(self):
         s = scene_defaults()
-        ch = scenario.channel_pair(s)
+        ch = scenario.channel_pair(s).pair
         assert 0 < ch.g2 < ch.g1 < 0.5
         sl = scenario.with_aperture(s, LinearAperture(0.01, 0.5))
-        chl = scenario.channel_pair(sl)
+        chl = scenario.channel_pair(sl).pair
         assert 0 < chl.g1 < 0.5 and abs(chl.rho) <= 1.0
         m = 41
         d = 0.5 / m
         ss = scenario.with_aperture(s, DiscreteAperture(m, m, d, d * d))
-        chs = scenario.channel_pair(ss)
+        chs = scenario.channel_pair(ss).pair
         assert chs.g1 == pytest.approx(ch.g1, rel=0.02)
 
     @pytest.mark.parametrize("order", [20, 1000])

@@ -3,9 +3,10 @@
 Every capacity formula downstream consumes only the per-user channel gains
 g_k = int |G_k|^2 and the complex correlation factor
 rho = int G_1* G_2 / sqrt(g1 g2).  This module provides the closed forms for
-planar and linear apertures, the Chebyshev tensor rule for
-continuous-aperture correlation, and planar_oracle, which integrates every
-statistic of one or two users in one adaptive pass for cross-checking.
+planar and linear apertures, the Chebyshev tensor rule for continuous-aperture
+correlation, of the order scenario.auto_quadrature_order picks, and
+planar_oracle, which integrates every statistic of one or two users in one
+adaptive pass for cross-checking.
 
 A discretized channel has one format, the element-domain vector
 sqrt(area) Q(center) over a set of cells: the elements of a discrete array
@@ -262,7 +263,7 @@ def correlation_planar(
     p1: UserPlacement,
     p2: UserPlacement,
     wl: Wavelength,
-    order: int = 20,
+    order: int,
 ) -> complex:
     """Channel correlation factor for a planar aperture via the Chebyshev rule.
 
@@ -282,7 +283,7 @@ def correlation_linear(
     p1: UserPlacement,
     p2: UserPlacement,
     wl: Wavelength,
-    order: int = 20,
+    order: int,
 ) -> complex:
     """Channel correlation factor for a thin linear aperture via the Chebyshev rule.
 

@@ -42,7 +42,7 @@ EXIT_VERIFICATION = 2
 EXIT_NONCONVERGENCE = 3
 
 MAX_SWEEP_STEPS = 1000
-"""Most rows `sweep --steps` accepts; np.geomspace allocates them all up
+"""Most rows `sweep --steps` accepts; the grid allocates them all up
 front.  An area sweep above 100 m^2 (the order-1000 rule) costs about 54 ms
 a row on a 2-vCPU Xeon, so the ceiling bounds a sweep near a minute."""
 
@@ -62,7 +62,7 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(args, text: str) -> str:
+def _emit(args, scene: Scene, text: str):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -72,14 +72,13 @@ def _emit(args, text: str) -> str:
                 "command": args.command,
                 "version": __version__,
                 "seed": getattr(args, "seed", None),
-                "scene": scene_to_dict(_resolve_scene(args)),
+                "scene": scene_to_dict(scene),
                 "outputs": {args.output: checksum},
             }
             with open(args.manifest, "w", encoding="utf-8") as fh:
                 fh.write(_json(manifest))
     else:
         sys.stdout.write(text)
-    return text
 
 
 def _resolve_scene(args) -> Scene:
@@ -157,7 +156,7 @@ def cmd_gain(args) -> int:
             report[f"gap_g{k}"] = abs(report[f"g{k}"] - o) / o
         if rho is not None:
             report["oracle_rho_abs2"] = abs(rho) ** 2
-    _emit(args, _json(report))
+    _emit(args, scene, _json(report))
     return EXIT_OK
 
 
@@ -177,7 +176,7 @@ def cmd_capacity(args) -> int:
         else:
             snr = scene.snr_coefficient(0) * scene.downlink_power
         report["capacity"] = uplink.su_capacity(snr, stats.gains[0])
-        _emit(args, _json(report))
+        _emit(args, scene, _json(report))
         return EXIT_OK
 
     ch = stats.pair
@@ -211,7 +210,7 @@ def cmd_capacity(args) -> int:
                 }
     report["g1"], report["g2"] = ch.g1, ch.g2
     report["rho_abs2"] = abs(ch.rho) ** 2
-    _emit(args, _json(report))
+    _emit(args, scene, _json(report))
     return EXIT_OK
 
 
@@ -230,20 +229,30 @@ def cmd_region(args) -> int:
         vertices = downlink.region_dl(link, n_splits=splits)
     buf = io.StringIO()
     _write_csv(buf, ["R1", "R2"], [list(v) for v in vertices])
-    _emit(args, buf.getvalue())
+    _emit(args, scene, buf.getvalue())
     return EXIT_OK
+
+
+def _sweep_values(args) -> np.ndarray:
+    "The swept values: linear in dB for snr, geometric for an area or occupation."
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        raise SceneError(f"--steps must lie between 1 and {MAX_SWEEP_STEPS}, got {args.steps}")
+    if args.param == "snr":
+        if not math.isfinite(args.stop - args.start):
+            raise SceneError(f"the snr span {args.start} to {args.stop} dB overflows a float")
+        return np.linspace(args.start, args.stop, args.steps)
+    if not (args.start > 0 and args.stop > 0):
+        raise SceneError(f"a {args.param} sweep needs --start and --stop above 0")
+    return np.geomspace(args.start, args.stop, args.steps)
 
 
 def cmd_sweep(args) -> int:
     scene = _resolve_scene(args)
     _warn(scene)
-    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
-        raise SceneError(f"--steps must lie between 1 and {MAX_SWEEP_STEPS}, got {args.steps}")
-    values = np.geomspace(args.start, args.stop, args.steps)
-    rows = scenario.sweep(scene, args.param, values, order=args.quad_order)
+    rows = scenario.sweep(scene, args.param, _sweep_values(args))
     buf = io.StringIO()
     _write_csv(buf, [args.param, *scenario.SWEEP_COLUMNS], rows)
-    _emit(args, buf.getvalue())
+    _emit(args, scene, buf.getvalue())
     return EXIT_OK
 
 
@@ -258,11 +267,13 @@ def cmd_scene(args) -> int:
         "ul_snr_linear": list(scene.ul_snr_linear),
         "findings": [[f.severity, f.message] for f in findings],
     }
+    if not isinstance(scene.aperture, DiscreteAperture):
+        resolved["derived"]["quadrature_order"] = scenario.auto_quadrature_order(scene)
     try:
         resolved["derived"]["downlink_power"] = scene.downlink_power
     except SceneError:
         pass
-    _emit(args, _json(resolved))
+    _emit(args, scene, _json(resolved))
     return EXIT_OK
 
 
@@ -271,9 +282,8 @@ def cmd_verify(args) -> int:
     _warn(scene)
     checks = verify.run_suites(scene, args.suite, args.seed)
     ok = all(c["passed"] for c in checks)
-    _emit(
-        args, _json({"command": "verify", "suite": args.suite, "passed": ok, "checks": checks})
-    )
+    report = {"command": "verify", "suite": args.suite, "passed": ok, "checks": checks}
+    _emit(args, scene, _json(report))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -300,7 +310,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help=f"scene config JSON (or ${CONFIG_ENV_VAR})")
     p.add_argument("--output", help="write the report to this file")
     p.add_argument("--manifest", help="write a run manifest JSON to this file")
-    p.add_argument("--quad-order", type=int, help="override the Chebyshev rule order")
+    p.add_argument("--quad-order", type=int, help="Chebyshev rule order (default by area)")
     p.add_argument(
         "--aperture", choices=["planar", "linear", "spda"], help="override aperture type"
     )

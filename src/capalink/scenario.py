@@ -2,10 +2,11 @@
 
 A Scene is the validated unit of work for the CLI and the verification
 suites; channel_pair, the one statistics entry, turns it into the gains of
-one or two users and, for two, rho.  Defaults reproduce the reference
-simulation setup: a 0.5 m x 0.5 m planar aperture at 2.4 GHz-band wavelength
-0.125 m serving two co-directional users at 10 m and 20 m with 30/40 dB
-uplink transmit SNRs and a 50 dB downlink sum SNR.
+one or two users and, for two, rho, on the one rule order that
+auto_quadrature_order picks.  Defaults reproduce the reference simulation
+setup: a 0.5 m x 0.5 m planar aperture at 2.4 GHz-band wavelength 0.125 m
+serving two co-directional users at 10 m and 20 m with 30/40 dB uplink
+transmit SNRs and a 50 dB downlink sum SNR.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ from .geometry import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_QUADRATURE_ORDER = 20
-SWEEP_QUADRATURE_ORDER = 1000
-"Order for asymptotic sweeps; plain scenes with area <= 100 m^2 use 20."
-
-LARGE_APERTURE_AREA = 100.0
-
 MAX_QUADRATURE_ORDER = 10000
 """Largest Chebyshev rule order a scene accepts.  The correlation rule costs
 order^2: order 1000 takes 0.05 s, order 10000 about 5 s and 80 MB."""
@@ -57,19 +52,18 @@ class Scene:
     ul_snr_db: tuple[float, ...]
     dl_sum_snr_db: float | None = None
     dl_power: float | None = None
-    quadrature_order: int = DEFAULT_QUADRATURE_ORDER
+    quadrature_order: int | None = None  # None: auto_quadrature_order picks by area
 
     def __post_init__(self):
         if len(self.users) not in (1, 2):
             raise SceneError(f"scene needs 1 or 2 users, got {len(self.users)}")
         if len(self.ul_snr_db) != len(self.users):
             raise SceneError("one uplink SNR per user is required")
-        if self.quadrature_order < 1:
+        n = self.quadrature_order
+        if n is not None and n < 1:
             raise SceneError("quadrature order must be >= 1")
-        if self.quadrature_order > MAX_QUADRATURE_ORDER:
-            raise SceneError(
-                f"quadrature order must be <= {MAX_QUADRATURE_ORDER}, got {self.quadrature_order}"
-            )
+        if n is not None and n > MAX_QUADRATURE_ORDER:
+            raise SceneError(f"quadrature order must be <= {MAX_QUADRATURE_ORDER}, got {n}")
 
     @property
     def is_two_user(self) -> bool:
@@ -153,17 +147,20 @@ def validate(scene: Scene) -> list[Finding]:
     return findings
 
 
-def channel_pair(
-    scene: Scene,
-    order: int | None = None,
-    coupling_model: CouplingModel | None = None,
-) -> Statistics:
+def auto_quadrature_order(scene: Scene) -> int:
+    "Rule order of a CAPA correlation: the scene's if set, else 20 up to 100 m^2, 1000 above."
+    if scene.quadrature_order is not None:
+        return scene.quadrature_order
+    return 20 if scene.aperture.area <= 100.0 else 1000
+
+
+def channel_pair(scene: Scene, coupling_model: CouplingModel | None = None) -> Statistics:
     """Statistics of the scene's one or two users, for every aperture kind.
 
     A discrete array's statistics come from its element vectors, coupled
     if a model is given.  A planar or linear aperture's gains come from
-    closed forms, then rho from the Chebyshev rule of the given order
-    (default: the scene's).  Coincident users (rho_bar < 1e-9) log a
+    closed forms, then rho from the Chebyshev rule of the order
+    auto_quadrature_order picks.  Coincident users (rho_bar < 1e-9) log a
     warning.
     """
     wl = scene.wavelength
@@ -183,7 +180,7 @@ def channel_pair(
         else:
             gain, correlation = channel.gain_planar, channel.correlation_planar
         gains = tuple(gain(ap, u) for u in scene.users)
-        n = order if order is not None else scene.quadrature_order
+        n = auto_quadrature_order(scene)
         rho = correlation(ap, *scene.users, wl, n) if scene.is_two_user else None
         stats = Statistics(gains, rho)
     if stats.rho is not None and stats.pair.rho_bar < 1e-9:
@@ -223,12 +220,6 @@ def dual_link(scene: Scene, ch: ChannelPair) -> DualLink:
     )
 
 
-def auto_quadrature_order(scene: Scene) -> int:
-    "Default order 20 for desk-scale apertures, 1000 for asymptotic sizes."
-    area = scene.aperture.area
-    return DEFAULT_QUADRATURE_ORDER if area <= LARGE_APERTURE_AREA else SWEEP_QUADRATURE_ORDER
-
-
 SWEEP_PARAMS = ("aperture_area", "occupation", "snr")
 
 SWEEP_COLUMNS = ("C_ul", "R_ul_zf", "C1_ul", "C2_ul", "C_dl", "R_dl_zf", "g1", "g2", "rho_abs2",
@@ -236,7 +227,7 @@ SWEEP_COLUMNS = ("C_ul", "R_ul_zf", "C1_ul", "C2_ul", "C_dl", "R_dl_zf", "g1", "
 "Columns of a sweep row after the swept value."
 
 
-def sweep(scene: Scene, param: str, values, order: int | None = None) -> list[list[float]]:
+def sweep(scene: Scene, param: str, values) -> list[list[float]]:
     """Rows of a parameter sweep: each value, then the SWEEP_COLUMNS of its scene.
 
     `aperture_area` keeps the aperture kind: a planar aperture keeps its
@@ -244,8 +235,9 @@ def sweep(scene: Scene, param: str, values, order: int | None = None) -> list[li
     area follows from its grid.  `occupation` sets a discrete array's
     element area to the value times spacing^2, `snr` every user's uplink
     SNR in dB.  The asymptotes are the sum capacities on asymptotic_pair:
-    the uplink one is the sum of the single-user capacities.  order=None
-    picks each row's rule by auto_quadrature_order.
+    the uplink one is the sum of the single-user capacities.  Every step
+    keeps the scene's quadrature_order, so None picks each row's rule by
+    its own area.
     """
     discrete = isinstance(scene.aperture, DiscreteAperture)
     if param == "aperture_area" and discrete:
@@ -257,7 +249,7 @@ def sweep(scene: Scene, param: str, values, order: int | None = None) -> list[li
     rows = []
     for v in values:
         step = _sweep_step(scene, param, float(v))
-        ch = channel_pair(step, order=auto_quadrature_order(step) if order is None else order).pair
+        ch = channel_pair(step).pair
         asy = asymptotic_pair(step)
         s1, s2 = step.ul_snr_linear
         link = dual_link(step, ch)
@@ -385,7 +377,9 @@ def scene_from_dict(cfg: dict) -> Scene:
                 _number(cfg, "downlink_sum_snr_db") if "downlink_sum_snr_db" in cfg else None
             ),
             dl_power=_number(cfg, "downlink_power") if "downlink_power" in cfg else None,
-            quadrature_order=_count(cfg, "quadrature_order", DEFAULT_QUADRATURE_ORDER),
+            quadrature_order=(
+                None if cfg.get("quadrature_order") is None else _count(cfg, "quadrature_order")
+            ),
         )
     except SceneError:
         raise

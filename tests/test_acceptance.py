@@ -12,6 +12,7 @@ literally and reports the measured hump.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_criterion_03_infinite_aperture_limit():
     "Million-meter aperture: half-power gains and vanishing interference."
     t0 = time.time()
     scene = scenario.with_aperture(DEFAULT, PlanarAperture(1e6, 1e6))
-    ch = scenario.channel_pair(scene, order=1000).pair
+    ch = scenario.channel_pair(replace(scene, quadrature_order=1000)).pair
     s1, s2 = scene.ul_snr_linear
     c_sum = sum_capacity_ul(s1, s2, ch)
     asymptote = math.log2(1 + s1 / 2) + math.log2(1 + s2 / 2)
@@ -249,7 +250,7 @@ def _zf_gap_sweep():
     for area in areas:
         side = math.sqrt(area)
         step = scenario.with_aperture(DEFAULT, PlanarAperture(side, side))
-        ch = scenario.channel_pair(step, order=scenario.auto_quadrature_order(step)).pair
+        ch = scenario.channel_pair(step).pair
         s1, s2 = step.ul_snr_linear
         ul_gaps.append(sum_capacity_ul(s1, s2, ch) - zf_sum_rate_ul(s1, s2, ch))
         link = scenario.dual_link(step, ch)
@@ -314,7 +315,7 @@ def test_criterion_10_spda_capa_consistency():
     "Full-occupation 41x41 array within 2% of the continuous aperture."
     t0 = time.time()
     s1, s2 = DEFAULT.ul_snr_linear
-    ch_capa = scenario.channel_pair(DEFAULT, order=40).pair
+    ch_capa = scenario.channel_pair(replace(DEFAULT, quadrature_order=40)).pair
     c_capa = sum_capacity_ul(s1, s2, ch_capa)
 
     m = 41
@@ -338,8 +339,8 @@ def test_criterion_10_spda_capa_consistency():
 def test_criterion_11_quadrature_convergence():
     "Correlation magnitude stabilizes by rule order 20 on the default scene."
     t0 = time.time()
-    r20 = abs(scenario.channel_pair(DEFAULT, order=20).rho) ** 2
-    r80 = abs(scenario.channel_pair(DEFAULT, order=80).rho) ** 2
+    r20 = abs(scenario.channel_pair(replace(DEFAULT, quadrature_order=20)).rho) ** 2
+    r80 = abs(scenario.channel_pair(replace(DEFAULT, quadrature_order=80)).rho) ** 2
     elapsed = time.time() - t0
     report("criterion-11", abs(r20 - r80) < 1e-3 and elapsed < 10,
            f"|rho|^2 n=20 {r20:.8f} vs n=80 {r80:.8f}, gap {abs(r20 - r80):.2e} "

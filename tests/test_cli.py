@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capalink
 from capalink import channel, scenario
 from capalink.cli import main
 from capalink.geometry import LinearAperture, PlanarAperture
@@ -54,6 +60,32 @@ def far_users(range_m):
 
 FAR_USERS = far_users(1e103)
 "User 1 so far away that the rule's gain sum for it underflows to 0."
+
+
+class TestSceneCommand:
+    @pytest.mark.parametrize("extra,order,resolved", [([], None, 1000),
+                                                      (["--quad-order", "7"], 7, 7)])
+    def test_printed_scene_reloads_to_the_same_capacity(
+        self, extra, order, resolved, capsys, tmp_path
+    ):
+        # a 225 m^2 aperture, where the order picked by area is 1000
+        config = write_config(tmp_path, {"type": "planar", "length_x": 15.0, "length_z": 15.0})
+        code, out = run(capsys, "scene", "print", "--config", config, *extra)
+        assert code == 0
+        printed = json.loads(out)
+        derived = printed.pop("derived")
+        assert printed["quadrature_order"] == order
+        assert derived["quadrature_order"] == resolved
+        path = tmp_path / "printed.json"
+        path.write_text(json.dumps(printed))
+        first = run(capsys, "capacity", "--config", config, *extra)
+        assert first[0] == 0
+        assert run(capsys, "capacity", "--config", str(path)) == first
+
+    def test_discrete_scene_prints_no_rule_order(self, capsys):
+        code, out = run(capsys, "scene", "print", "--aperture", "spda", "--elements", "5")
+        assert code == 0
+        assert "quadrature_order" not in json.loads(out)["derived"]
 
 
 class TestGainCommand:
@@ -190,16 +222,75 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(len(ln.split(",")) == len(lines[0].split(",")) for ln in lines[1:])
 
-    def test_quad_order_sets_every_row(self, capsys):
-        argv = ["sweep", "--param", "snr", "--start", "10", "--stop", "20", "--steps", "2"]
-        rows = {}
-        for extra in ([], ["--quad-order", "3"]):
-            code, out = run(capsys, *argv, *extra)
-            assert code == 0
-            header, *lines = out.strip().splitlines()
-            col = header.split(",").index("rho_abs2")
-            rows[len(extra)] = [float(line.split(",")[col]) for line in lines]
-        assert all(a != b for a, b in zip(rows[0], rows[2]))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_quad_order_sets_every_row(self, source, capsys, tmp_path):
+        # rows on both sides of 100 m^2, where the order picked by area switches
+        argv = ["--param", "aperture_area", "--start", "50", "--stop", "200", "--steps", "2"]
+        if source == "flag":
+            extra = ["--quad-order", "3"]
+        else:
+            path = tmp_path / "order.json"
+            path.write_text(json.dumps({**scene_to_dict(scene_defaults()), "quadrature_order": 3}))
+            extra = ["--config", str(path)]
+        by_area = sweep_rows(capsys, *argv)
+        for row, auto in zip(sweep_rows(capsys, *argv, *extra), by_area):
+            side = math.sqrt(row["aperture_area"])
+            step = scenario.with_aperture(scene_defaults(), PlanarAperture(side, side))
+            rho = scenario.channel_pair(replace(step, quadrature_order=3)).rho
+            assert row["rho_abs2"] == abs(rho) ** 2 != auto["rho_abs2"]
+
+    def test_single_scene_and_sweep_row_agree_at_large_area(self, capsys, tmp_path):
+        # the default users over the stored reference's 188 m^2 square
+        path = Path(__file__).parents[1] / "perfbench" / "fault_a_reference.json"
+        reference = json.loads(path.read_text())
+        area = reference["areas"][5]
+        variant = reference["variants"][0]
+        assert [u["range"] for u in variant["config"]["users"]] == [10.0, 20.0]
+        _, _, rho_re, rho_im, _ = variant["stats"][5]
+        expected = rho_re**2 + rho_im**2
+        side = math.sqrt(area)
+        config = write_config(tmp_path, {"type": "planar", "length_x": side, "length_z": side})
+        printed = [json.loads(run(capsys, *argv, "--config", config)[1])["rho_abs2"]
+                   for argv in (["gain"], ["capacity", "--link", "ul"])]
+        rows = sweep_rows(capsys, "--param", "aperture_area", "--start", "0.25",
+                          "--stop", "1e4", "--steps", "9")
+        (row,) = [r for r in rows if r["aperture_area"] == pytest.approx(area, rel=1e-12)]
+        for value in printed:
+            assert value == pytest.approx(row["rho_abs2"], rel=1e-12)
+        assert row["rho_abs2"] == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            # dB values step linearly, through 0 dB and negative values
+            (["--param", "snr", "--start", "-10", "--stop", "10", "--steps", "3"],
+             [-10.0, 0.0, 10.0]),
+            (["--param", "snr", "--start", "10", "--stop", "40", "--steps", "4"],
+             [10.0, 20.0, 30.0, 40.0]),
+            # an area or occupation steps geometrically, so both bounds must be positive
+            (["--param", "aperture_area", "--start", "-1", "--stop", "4"], None),
+            (["--param", "aperture_area", "--start", "1", "--stop", "0"], None),
+            (["--param", "occupation", "--start", "0", "--stop", "1"], None),
+            # the span of the dB grid overflows a float
+            (["--param", "snr", "--start", "-1e308", "--stop", "1e308"], None),
+        ],
+    )
+    def test_grid_in_a_fresh_interpreter(self, argv, values):
+        # the real stderr: no numpy warning, and one error: line on a rejected grid
+        src = str(Path(capalink.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "capalink.cli", "sweep", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        if values is None:
+            assert proc.returncode == 1 and proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+            return
+        assert proc.returncode == 0 and proc.stderr == ""
+        header, *lines = proc.stdout.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert [r[0] for r in rows] == values
+        assert all(math.isfinite(v) for r in rows for v in r)
 
     def test_occupation_sweep_monotone_and_matches_capa(self, capsys):
         code, out = run(
@@ -386,6 +477,22 @@ class TestDeterminismAndExitCodes:
         assert main(argv + ["--output", str(out1)]) == 0
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_manifest_reads_the_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        load = scenario.load_scene
+
+        def counted(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(scenario, "load_scene", counted)
+        config = write_config(tmp_path, scene_to_dict(scene_defaults())["aperture"])
+        out, man = tmp_path / "r.json", tmp_path / "m.json"
+        assert main(["gain", "--config", config, "--output", str(out),
+                     "--manifest", str(man)]) == 0
+        assert calls == [config]
+        assert json.loads(man.read_text())["scene"] == json.loads(Path(config).read_text())
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -88,6 +88,25 @@ class TestConfigSchema:
         loaded = load_scene(str(path))
         assert scene_to_dict(loaded) == scene_to_dict(s)
 
+    @pytest.mark.parametrize("order", [None, 7])
+    def test_quadrature_order_round_trips(self, order):
+        # an unset order is written as null and read back unset
+        cfg = scene_to_dict(replace(scene_defaults(), quadrature_order=order))
+        assert cfg["quadrature_order"] == order
+        assert scene_from_dict(cfg).quadrature_order == order
+
+    def test_absent_quadrature_order_is_unset(self):
+        cfg = scene_to_dict(scene_defaults())
+        del cfg["quadrature_order"]
+        assert scene_from_dict(cfg).quadrature_order is None
+
+    @pytest.mark.parametrize("value", [0, False, [], "x"])
+    def test_falsy_or_malformed_quadrature_order_rejected(self, value):
+        # only an absent key or null leaves the order unset
+        cfg = {**scene_to_dict(scene_defaults()), "quadrature_order": value}
+        with pytest.raises(SceneError):
+            scene_from_dict(cfg)
+
     def test_spda_occupation_shorthand(self):
         cfg = scene_to_dict(scene_defaults())
         cfg["aperture"] = {
@@ -183,6 +202,10 @@ class TestDerived:
         assert scenario.auto_quadrature_order(s) == 20
         big = scenario.with_aperture(s, PlanarAperture(100.0, 100.0))
         assert scenario.auto_quadrature_order(big) == 1000
+        # an explicit order wins at any area
+        for scene in (s, big):
+            for order in (1, 20, 64, 1000):
+                assert scenario.auto_quadrature_order(replace(scene, quadrature_order=order)) == order
 
     def test_sweep_rows(self):
         rows = scenario.sweep(scene_defaults(), "snr", np.array([10.0, 20.0]))

@@ -4,14 +4,15 @@ This module parses arguments and formats reports; every statistic, limit
 and check comes from the library modules.
 
 Single-scene reports are strict JSON (no NaN or infinities); regions and
-sweeps emit CSV with a header row and 17-significant-digit scientific
-formatting so runs are reproducible byte for byte given the same arguments.
+sweeps emit CSV, as strict, with a header row and 17-significant-digit
+scientific formatting so runs are reproducible byte for byte given the same
+arguments.
 
-Exit codes: 0 success, 1 validation error (a rejected command line, float
-options that are not finite included, any ValueError that is not a numeric
-failure, a float overflow from extreme scene values, or a config, report or
-manifest file that cannot be read or written), 2 verification failure, 3
-numeric non-convergence.
+Exit codes: 0 success, 1 validation error (a rejected command line, numeric
+options that scenario.read_number refuses included, any ValueError that is
+not a numeric failure, a float overflow from extreme scene values, or a
+config, report or manifest file that cannot be read or written), 2
+verification failure, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import __version__, channel, downlink, scenario, uplink, verify
 from .coupling import CouplingModel
 from .geometry import DiscreteAperture, LinearAperture, PlanarAperture
 from .numerics import NonConvergenceError
-from .scenario import Scene, SceneError, scene_defaults, scene_to_dict, validate
+from .scenario import Scene, SceneError, read_number, scene_defaults, scene_to_dict, validate
 from .uplink import SicOrder
 
 CONFIG_ENV_VAR = "CAPALINK_CONFIG"
@@ -41,19 +42,17 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_NONCONVERGENCE = 3
 
-MAX_SWEEP_STEPS = 1000
-"""Most rows `sweep --steps` accepts; the grid allocates them all up
-front.  An area sweep above 100 m^2 (the order-1000 rule) costs about 54 ms
-a row on a 2-vCPU Xeon, so the ceiling bounds a sweep near a minute."""
-
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
 def _write_csv(stream, header: list[str], rows: list[list[float]]):
+    "Header and full-precision rows: NaN or an infinity raises ValueError, as in _json."
     stream.write(",".join(header) + "\n")
     for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"out of range float value in a CSV row: {','.join(map(_fmt, row))}")
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -105,24 +104,20 @@ def _override_aperture(scene: Scene, kind: str, args) -> Scene:
     else:
         length_x, length_z = ap.length_x, ap.length_z
     if kind == "planar":
-        return scenario.with_aperture(scene, PlanarAperture(length_x, length_z))
+        return replace(scene, aperture=PlanarAperture(length_x, length_z))
     if kind == "linear":
-        return scenario.with_aperture(scene, LinearAperture(length_x, length_z))
+        return replace(scene, aperture=LinearAperture(length_x, length_z))
     # SPDA override keeps the physical span and fills it with an odd element
     # count at the requested occupation.
     m = args.elements
-    if m < 1:
-        raise SceneError(f"--elements must be a positive odd count, got {m}")
     d = length_z / m
-    return scenario.with_aperture(scene, DiscreteAperture(m, m, d, args.occupation * d * d))
+    return replace(scene, aperture=DiscreteAperture(m, m, d, args.occupation * d * d))
 
 
 def _coupling_model(args) -> CouplingModel | None:
     if not args.mutual_coupling:
         return None
-    return CouplingModel(
-        z_antenna=args.za, z_termination=args.zt, impedance_scale=args.z_scale
-    )
+    return CouplingModel(args.za, args.zt, args.z_scale)
 
 
 def _warn(scene: Scene):
@@ -235,8 +230,6 @@ def cmd_region(args) -> int:
 
 def _sweep_values(args) -> np.ndarray:
     "The swept values: linear in dB for snr, geometric for an area or occupation."
-    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
-        raise SceneError(f"--steps must lie between 1 and {MAX_SWEEP_STEPS}, got {args.steps}")
     if args.param == "snr":
         if not math.isfinite(args.stop - args.start):
             raise SceneError(f"the snr span {args.start} to {args.stop} dB overflows a float")
@@ -296,36 +289,52 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+class _Number:
+    """The type of every numeric option: its text parsed as an int for a
+    whole-number option (limit, a key of scenario.LIMITS) or as a float, then
+    read by scenario.read_number.  A rejected value is one argparse error."""
+
+    def __init__(self, limit: str | None = None):
+        self.limit = limit
+
+    def __call__(self, text: str):
+        try:
+            return read_number("value", int(text) if self.limit else float(text), self.limit)
+        except ValueError as exc:  # SceneError, or text that is not a number
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help=f"scene config JSON (or ${CONFIG_ENV_VAR})")
     p.add_argument("--output", help="write the report to this file")
     p.add_argument("--manifest", help="write a run manifest JSON to this file")
-    p.add_argument("--quad-order", type=int, help="Chebyshev rule order (default by area)")
+    p.add_argument(
+        "--quad-order",
+        type=_Number("quadrature_order"),
+        help="Chebyshev rule order (default by area)",
+    )
     p.add_argument(
         "--aperture", choices=["planar", "linear", "spda"], help="override aperture type"
     )
+    p.add_argument("--occupation", type=_Number(), default=1.0, help="SPDA occupation ratio")
     p.add_argument(
-        "--occupation", type=_finite_float, default=1.0, help="SPDA occupation ratio"
+        "--elements", type=_Number("elements"), default=41, help="SPDA elements per side"
     )
-    p.add_argument("--elements", type=int, default=41, help="SPDA elements per side")
 
 
 def _add_coupling(p: argparse.ArgumentParser):
     "Mutual-coupling options, on the commands that compute coupled statistics."
     p.add_argument("--mutual-coupling", action="store_true")
-    p.add_argument("--za", type=_finite_float, default=50.0, help="antenna impedance, ohms")
-    p.add_argument("--zt", type=_finite_float, default=50.0, help="termination impedance, ohms")
-    p.add_argument("--z-scale", type=_finite_float, default=0.1, help="mutual impedance scale")
+    defaults = CouplingModel  # its field defaults
+    p.add_argument(
+        "--za", type=_Number(), default=defaults.z_antenna, help="antenna impedance, ohms"
+    )
+    p.add_argument(
+        "--zt", type=_Number(), default=defaults.z_termination, help="termination impedance, ohms"
+    )
+    p.add_argument(
+        "--z-scale", type=_Number(), default=defaults.impedance_scale, help="mutual impedance scale"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,21 +368,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(p)
     p.add_argument("--link", choices=["ul", "dl"], default="ul")
     p.add_argument(
-        "--splits", type=int, help=f"downlink power splits (default {downlink.DEFAULT_SPLITS})"
+        "--splits",
+        type=_Number("splits"),
+        help=f"downlink power splits (default {downlink.DEFAULT_SPLITS})",
     )
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sweep", help="parameter sweep as CSV")
     _add_common(p)
     p.add_argument("--param", choices=scenario.SWEEP_PARAMS, required=True)
-    p.add_argument("--start", type=_finite_float, required=True)
-    p.add_argument("--stop", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, default=9)
+    p.add_argument("--start", type=_Number(), required=True)
+    p.add_argument("--stop", type=_Number(), required=True)
+    p.add_argument("--steps", type=_Number("steps"), default=9)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run machine-checkable consistency suites")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the duality suite's interior split")
+    p.add_argument(
+        "--seed", type=_Number("seed"), default=0, help="seed of the duality suite's interior split"
+    )
     p.add_argument("--suite", choices=["all", "whitening", "duality", "oracle"], default="all")
     p.set_defaults(func=cmd_verify)
 

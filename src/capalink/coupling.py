@@ -275,7 +275,7 @@ def coupled_pair(
     a: DiscreteAperture,
     users: tuple[UserPlacement, ...],
     wl: Wavelength,
-    model: CouplingModel | None = None,
+    model: CouplingModel,
 ) -> Statistics:
     """Channel statistics of one or two users on the mutually coupled discrete array.
 
@@ -283,7 +283,6 @@ def coupled_pair(
     z_a + z_t, and warns when the condition estimate exceeds
     CONDITION_REPORT_THRESHOLD.
     """
-    model = model or CouplingModel()
     n = len(users)
     # a fixed seed keeps the estimate, and so the warning, reproducible
     probe = np.random.default_rng(0).integers(0, 2, a.count) * 2.0 - 1.0

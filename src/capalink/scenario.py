@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import channel, coupling, downlink, uplink
@@ -30,12 +31,41 @@ from .geometry import (
 
 log = logging.getLogger(__name__)
 
-MAX_QUADRATURE_ORDER = 10000
-"""Largest Chebyshev rule order a scene accepts.  The correlation rule costs
-order^2: order 1000 takes 0.05 s, order 10000 about 5 s and 80 MB."""
+LIMITS = {
+    # the correlation rule costs order^2: 1000 takes 0.05 s, 10000 about 5 s and 80 MB
+    "quadrature_order": (1, 10000),
+    # `gain` on 401 x 401 takes 0.05 s and 47 MB resident, 6 s and 380 MB coupled
+    "elements": (1, 401),
+    # five hull input vertices a split: 1e5 splits take about 1.4 s and 125 MB
+    "splits": (2, 100_000),
+    # rows are allocated up front; at about 54 ms an area row above 100 m^2, 1000 take a minute
+    "steps": (1, 1000),
+    "seed": (0, math.inf),
+}
+"""Range (lowest, highest) of each whole-number input: rule order, elements
+per side, downlink power splits, sweep rows and seed.  Costs measured in one
+process with one BLAS thread on a 2-vCPU Xeon."""
+
 
 class SceneError(ValueError):
     "A scene failed validation."
+
+
+def read_number(name: str, value, limit: str | None = None) -> float | int:
+    """value, a config number or a parsed option, as a finite float or, with a
+    limit (a key of LIMITS), a whole number in that range.  Anything else,
+    strings and booleans included, raises SceneError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneError(f"{name} must be a number, got {value!r}")
+    if limit is None:
+        # JSON NaN and Infinity, 1e400 read as inf, and integers past the float range
+        if not abs(value) <= sys.float_info.max:
+            raise SceneError(f"{name} must be a finite number, got {value}")
+        return float(value)
+    lo, hi = LIMITS[limit]
+    if not ((isinstance(value, int) or value.is_integer()) and lo <= value <= hi):
+        raise SceneError(f"{name} must be a whole number from {lo} to {hi}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -59,11 +89,6 @@ class Scene:
             raise SceneError(f"scene needs 1 or 2 users, got {len(self.users)}")
         if len(self.ul_snr_db) != len(self.users):
             raise SceneError("one uplink SNR per user is required")
-        n = self.quadrature_order
-        if n is not None and n < 1:
-            raise SceneError("quadrature order must be >= 1")
-        if n is not None and n > MAX_QUADRATURE_ORDER:
-            raise SceneError(f"quadrature order must be <= {MAX_QUADRATURE_ORDER}, got {n}")
 
     @property
     def is_two_user(self) -> bool:
@@ -275,15 +300,13 @@ def _sweep_step(scene: Scene, param: str, value: float) -> Scene:
     if param == "snr":
         return replace(scene, ul_snr_db=tuple(value for _ in scene.ul_snr_db))
     if param == "occupation":
-        return with_aperture(
-            scene,
-            DiscreteAperture(ap.elements_x, ap.elements_z, ap.spacing, value * ap.spacing**2),
-        )
+        grid = DiscreteAperture(ap.elements_x, ap.elements_z, ap.spacing, value * ap.spacing**2)
+        return replace(scene, aperture=grid)
     if isinstance(ap, LinearAperture):
-        return with_aperture(scene, LinearAperture(ap.length_x, value / ap.length_x))
+        return replace(scene, aperture=LinearAperture(ap.length_x, value / ap.length_x))
     aspect = ap.length_x / ap.length_z
-    return with_aperture(
-        scene, PlanarAperture(math.sqrt(value * aspect), math.sqrt(value / aspect))
+    return replace(
+        scene, aperture=PlanarAperture(math.sqrt(value * aspect), math.sqrt(value / aspect))
     )
 
 
@@ -303,84 +326,56 @@ _APERTURE_KEYS = {
     "linear": {"type", "length_x", "length_z"},
     "spda": {"type", "elements_x", "elements_z", "spacing", "element_area", "occupation"},
 }
-_USER_KEYS = {"range", "theta_deg", "phi_deg", "rx_area", "noise", "snr_db"}
+_USER_KEYS = ("range", "theta_deg", "phi_deg", "rx_area", "noise", "snr_db")
 
 
-def _check_keys(obj: dict, allowed: set, context: str):
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed, context: str):
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise SceneError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, default: float | None = None) -> float:
-    "obj[key], or the default if given and the key is absent, as a finite float."
-    x = float(obj[key] if default is None else obj.get(key, default))
-    if not math.isfinite(x):  # JSON NaN and Infinity, and 1e400 read as inf
-        raise SceneError(f"{key} must be a finite number, got {x}")
-    return x
-
-
-def _count(obj: dict, key: str, default: int | None = None) -> int:
-    "obj[key], or the default if given and the key is absent, as an integral number."
-    x = _number(obj, key, default)
-    if x != int(x):
-        raise SceneError(f"{key} must be a whole number, got {x}")
-    return int(x)
-
-
 def scene_from_dict(cfg: dict) -> Scene:
-    "Build a validated Scene from a parsed config mapping."
+    "Build a validated Scene from a parsed config mapping; every number goes through read_number."
     _check_keys(cfg, _SCENE_KEYS, "scene")
     try:
-        wl = Wavelength(_number(cfg, "wavelength"))
+        wl = Wavelength(read_number("wavelength", cfg["wavelength"]))
         ap_cfg = dict(cfg["aperture"])
         kind = ap_cfg.get("type")
         if kind not in _APERTURE_KEYS:
             raise SceneError(f"aperture type must be one of {sorted(_APERTURE_KEYS)}")
         _check_keys(ap_cfg, _APERTURE_KEYS[kind], f"{kind} aperture")
-        if kind == "planar":
-            ap = PlanarAperture(_number(ap_cfg, "length_x"), _number(ap_cfg, "length_z"))
-        elif kind == "linear":
-            ap = LinearAperture(_number(ap_cfg, "length_x"), _number(ap_cfg, "length_z"))
+        if kind != "spda":
+            shape = PlanarAperture if kind == "planar" else LinearAperture
+            ap = shape(*(read_number(k, ap_cfg[k]) for k in ("length_x", "length_z")))
         else:
-            spacing = _number(ap_cfg, "spacing")
+            spacing = read_number("spacing", ap_cfg["spacing"])
             if "element_area" in ap_cfg and "occupation" in ap_cfg:
                 raise SceneError("give element_area or occupation, not both")
             if "occupation" in ap_cfg:
-                element_area = _number(ap_cfg, "occupation") * spacing**2
+                element_area = read_number("occupation", ap_cfg["occupation"]) * spacing**2
             else:
-                element_area = _number(ap_cfg, "element_area")
+                element_area = read_number("element_area", ap_cfg["element_area"])
             ap = DiscreteAperture(
-                _count(ap_cfg, "elements_x"), _count(ap_cfg, "elements_z"), spacing, element_area
+                *(read_number(k, ap_cfg[k], "elements") for k in ("elements_x", "elements_z")),
+                spacing,
+                element_area,
             )
-        users = []
-        snrs = []
+        users, snrs = [], []
         for u_cfg in cfg["users"]:
-            u_cfg = dict(u_cfg)
+            u_cfg = {"rx_area": wl.isotropic_rx_area, "noise": 1.0, "snr_db": 30.0, **u_cfg}
             _check_keys(u_cfg, _USER_KEYS, "user")
-            users.append(
-                UserPlacement(
-                    range_m=_number(u_cfg, "range"),
-                    theta=math.radians(_number(u_cfg, "theta_deg")),
-                    phi=math.radians(_number(u_cfg, "phi_deg")),
-                    rx_area=_number(u_cfg, "rx_area", wl.isotropic_rx_area),
-                    noise_intensity=_number(u_cfg, "noise", 1.0),
-                )
-            )
-            snrs.append(_number(u_cfg, "snr_db", 30.0))
-        return Scene(
-            wavelength=wl,
-            aperture=ap,
-            users=tuple(users),
-            ul_snr_db=tuple(snrs),
-            dl_sum_snr_db=(
-                _number(cfg, "downlink_sum_snr_db") if "downlink_sum_snr_db" in cfg else None
-            ),
-            dl_power=_number(cfg, "downlink_power") if "downlink_power" in cfg else None,
-            quadrature_order=(
-                None if cfg.get("quadrature_order") is None else _count(cfg, "quadrature_order")
-            ),
+            r, theta, phi, rx_area, noise, snr = (read_number(k, u_cfg[k]) for k in _USER_KEYS)
+            users.append(UserPlacement(r, math.radians(theta), math.radians(phi), rx_area, noise))
+            snrs.append(snr)
+        budget = (
+            read_number(k, cfg[k]) if k in cfg else None
+            for k in ("downlink_sum_snr_db", "downlink_power")
         )
+        order = cfg.get("quadrature_order")
+        if order is not None:  # an absent key or null leaves the order to the area
+            order = read_number("quadrature_order", order, "quadrature_order")
+        return Scene(wl, ap, tuple(users), tuple(snrs), *budget, order)
     except SceneError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -395,10 +390,9 @@ def load_scene(path: str) -> Scene:
 def scene_to_dict(scene: Scene) -> dict:
     "Round-trippable config mapping, including derived quantities omitted."
     ap = scene.aperture
-    if isinstance(ap, PlanarAperture):
-        ap_cfg = {"type": "planar", "length_x": ap.length_x, "length_z": ap.length_z}
-    elif isinstance(ap, LinearAperture):
-        ap_cfg = {"type": "linear", "length_x": ap.length_x, "length_z": ap.length_z}
+    if not isinstance(ap, DiscreteAperture):
+        kind = "planar" if isinstance(ap, PlanarAperture) else "linear"
+        ap_cfg = {"type": kind, "length_x": ap.length_x, "length_z": ap.length_z}
     else:
         ap_cfg = {
             "type": "spda",
@@ -428,7 +422,3 @@ def scene_to_dict(scene: Scene) -> dict:
     if scene.dl_power is not None:
         cfg["downlink_power"] = scene.dl_power
     return cfg
-
-
-def with_aperture(scene: Scene, aperture) -> Scene:
-    return replace(scene, aperture=aperture)

@@ -109,12 +109,13 @@ def sum_capacity_ul(gamma1, gamma2, ch: ChannelPair):
     "Order-independent two-user sum-rate capacity, bits/s/Hz; elementwise over arrays."
     if np.any((gamma1 < 0.0) | (gamma2 < 0.0)):
         raise ValueError("transmit SNRs must be nonnegative")
-    return np.log2(
-        1.0
-        + gamma1 * gamma2 * ch.g1 * ch.g2 * ch.rho_bar
-        + gamma1 * ch.g1
-        + gamma2 * ch.g2
-    )
+    with np.errstate(over="ignore"):  # an infinity is refused where it is printed
+        return np.log2(
+            1.0
+            + gamma1 * gamma2 * ch.g1 * ch.g2 * ch.rho_bar
+            + gamma1 * ch.g1
+            + gamma2 * ch.g2
+        )
 
 
 def zf_sum_rate_ul(gamma1: float, gamma2: float, ch: ChannelPair) -> float:

@@ -112,7 +112,7 @@ def test_criterion_02_arctan_identity():
 def test_criterion_03_infinite_aperture_limit():
     "Million-meter aperture: half-power gains and vanishing interference."
     t0 = time.time()
-    scene = scenario.with_aperture(DEFAULT, PlanarAperture(1e6, 1e6))
+    scene = replace(DEFAULT, aperture=PlanarAperture(1e6, 1e6))
     ch = scenario.channel_pair(replace(scene, quadrature_order=1000)).pair
     s1, s2 = scene.ul_snr_linear
     c_sum = sum_capacity_ul(s1, s2, ch)
@@ -249,7 +249,7 @@ def _zf_gap_sweep():
     ul_gaps, dl_gaps = [], []
     for area in areas:
         side = math.sqrt(area)
-        step = scenario.with_aperture(DEFAULT, PlanarAperture(side, side))
+        step = replace(DEFAULT, aperture=PlanarAperture(side, side))
         ch = scenario.channel_pair(step).pair
         s1, s2 = step.ul_snr_linear
         ul_gaps.append(sum_capacity_ul(s1, s2, ch) - zf_sum_rate_ul(s1, s2, ch))
@@ -324,7 +324,7 @@ def test_criterion_10_spda_capa_consistency():
     capacities = []
     for occ in occupations:
         aperture = DiscreteAperture(m, m, d, occ * d * d)
-        ch = scenario.channel_pair(scenario.with_aperture(DEFAULT, aperture)).pair
+        ch = scenario.channel_pair(replace(DEFAULT, aperture=aperture)).pair
         capacities.append(sum_capacity_ul(s1, s2, ch))
     rel = abs(capacities[-1] - c_capa) / c_capa
     monotone = all(b >= a - 1e-12 for a, b in zip(capacities, capacities[1:]))

@@ -14,7 +14,8 @@ from capalink import channel, scenario
 from capalink.cli import main
 from capalink.geometry import LinearAperture, PlanarAperture
 from capalink.numerics import adaptive_integrate_2d
-from capalink.scenario import scene_defaults, scene_to_dict
+from capalink.scenario import LIMITS, scene_defaults, scene_to_dict
+from test_cli_fuzz import assert_report
 
 
 def run(capsys, *argv):
@@ -235,7 +236,7 @@ class TestSweepCommand:
         by_area = sweep_rows(capsys, *argv)
         for row, auto in zip(sweep_rows(capsys, *argv, *extra), by_area):
             side = math.sqrt(row["aperture_area"])
-            step = scenario.with_aperture(scene_defaults(), PlanarAperture(side, side))
+            step = replace(scene_defaults(), aperture=PlanarAperture(side, side))
             rho = scenario.channel_pair(replace(step, quadrature_order=3)).rho
             assert row["rho_abs2"] == abs(rho) ** 2 != auto["rho_abs2"]
 
@@ -516,7 +517,9 @@ class TestDeterminismAndExitCodes:
         assert main(["gain", "--quad-order", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: quadrature order must be >= 1"]
+        assert captured.err.splitlines() == [
+            "error: argument --quad-order: value must be a whole number from 1 to 10000, got 0"
+        ]
 
     def test_failed_verification_exits_two(self, capsys, monkeypatch):
         from capalink import verify
@@ -622,6 +625,10 @@ class TestDeterminismAndExitCodes:
             ["sweep", "--param", "aperture_area", "--config", "SPDA", "--start", "1", "--stop", "2"],
             ["gain", "--config", "HUGE_ELEMENTS"],
             ["gain", "--aperture", "spda", "--elements", "1000000001"],
+            # a config number is a JSON number, never a string or a boolean
+            ["gain", "--config", "STRING_ORDER"],
+            ["gain", "--config", "TRUE_ORDER"],
+            ["gain", "--config", "STRING_WAVELENGTH"],
             # only verify reads a seed
             ["scene", "print", "--seed", "1"],
             ["gain", "--seed", "1"],
@@ -643,7 +650,10 @@ class TestDeterminismAndExitCodes:
                                  ("FRACTIONAL_ORDER", "quadrature_order", 20.9),
                                  ("FRACTIONAL_ELEMENTS", "aperture", {**spda, "elements_x": 3.7}),
                                  ("SPDA", "aperture", spda),
-                                 ("HUGE_ELEMENTS", "aperture", {**spda, "elements_x": 10**9 + 1})]:
+                                 ("HUGE_ELEMENTS", "aperture", {**spda, "elements_x": 10**9 + 1}),
+                                 ("STRING_ORDER", "quadrature_order", "20"),
+                                 ("TRUE_ORDER", "quadrature_order", True),
+                                 ("STRING_WAVELENGTH", "wavelength", "0.125")]:
             cfg = scene_to_dict(scene_defaults())
             cfg[key] = value
             paths[name] = tmp_path / f"{name}.json"
@@ -708,15 +718,67 @@ class TestDeterminismAndExitCodes:
         assert main(["scene", "print", "--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_largest_splits_and_steps_run(self, capsys):
-        from capalink.cli import MAX_SWEEP_STEPS
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--link", "dl", "--dual-trace"],
+            ["sweep", "--param", "snr", "--start", "10", "--stop", "20", "--steps", "2"],
+        ],
+    )
+    def test_vanishing_gains_reach_the_downlink_split(self, argv, capsys, tmp_path):
+        # c1 c2 g1 g2 rho_bar underflows to 0 on a 1e-308 m wide aperture
+        path = write_config(tmp_path, {"type": "planar", "length_x": 1e-308, "length_z": 0.5})
+        code = main(argv + ["--config", path])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert_report(captured.out)
+        else:
+            assert code == 1 and captured.out == ""
+            lines = captured.err.splitlines()
+            assert [line for line in lines if line.startswith("error:")] == lines[-1:]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_csv_exits_one(self, capsys, tmp_path):
+        # the rates of a 1e300 m long strip overflow to inf
+        path = write_config(tmp_path, {"type": "linear", "length_x": 1e300, "length_z": 0.5})
+        assert main(["region", "--link", "dl", "--splits", "3", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: out of range float value in a CSV row: inf,9.9768550782301782e+02"
+        ] == lines[-1:]
+
+    def test_largest_splits_and_steps_run(self, capsys):
         code, out = run(capsys, "region", "--link", "dl", "--splits", "2001")
         assert code == 0 and out.startswith("R1,R2\n")
         argv = ["sweep", "--param", "snr", "--start", "1", "--stop", "2"]
-        code, out = run(capsys, *argv, "--steps", str(MAX_SWEEP_STEPS))
+        most = LIMITS["steps"][1]
+        code, out = run(capsys, *argv, "--steps", str(most))
         assert code == 0
-        assert len(out.splitlines()) == MAX_SWEEP_STEPS + 1
+        assert len(out.splitlines()) == most + 1
+
+    def test_element_count_ceiling(self, capsys, tmp_path):
+        # the ceiling is read at the input boundary, before any per-element work
+        most = LIMITS["elements"][1]
+        spda = {"type": "spda", "elements_x": most, "elements_z": most, "spacing": 0.01,
+                "element_area": 1e-4}
+        assert main(["scene", "print", "--config", write_config(tmp_path, spda)]) == 0
+        assert main(["scene", "print", "--aperture", "spda", "--elements", str(most)]) == 0
+        capsys.readouterr()
+        for m in (most + 2, 10**9 + 1):
+            for key in ("elements_x", "elements_z"):
+                path = write_config(tmp_path, {**spda, key: m})
+                assert main(["scene", "print", "--config", path]) == 1
+                assert capsys.readouterr().err.splitlines() == [
+                    f"error: {key} must be a whole number from 1 to {most}, got {m}"
+                ]
+            assert main(["scene", "print", "--aperture", "spda", "--elements", str(m)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: argument --elements: value must be a whole number "
+                f"from 1 to {most}, got {m}"
+            ]
 
     def test_full_precision_formatting(self, capsys):
         _, out = run(capsys, "region", "--link", "ul")

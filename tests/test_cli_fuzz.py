@@ -6,20 +6,22 @@ leave a report that is strict JSON or a CSV with a header.  Values are
 bounded so that no example starts a large computation: at most 15 x 15
 coupled elements, 300 power splits, 4 sweep rows below 100 m^2 and rule
 orders up to 64 (larger values appear only past their ceilings, where they
-are rejected before any work).  The search is derandomized, so a run is
-reproducible.
+are rejected before any work).  Each whole-number option also draws the two
+values just outside its range in scenario.LIMITS.  The search is
+derandomized, so a run is reproducible.
 """
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capalink.cli import main
-from capalink.scenario import scene_defaults, scene_to_dict
+from capalink.scenario import LIMITS, scene_defaults, scene_to_dict
 
 
 def _mostly(valid, invalid):
@@ -29,16 +31,24 @@ def _mostly(valid, invalid):
     ).map(str)
 
 
+def past_limits(key: str) -> list[int]:
+    "The whole numbers just outside LIMITS[key]: lo - 1 and, if bounded, hi + 1."
+    lo, hi = LIMITS[key]
+    return [lo - 1] + ([hi + 1] if math.isfinite(hi) else [])
+
+
 def _float(lo, hi):
     "Floats in [lo, hi], else spellings the float options must reject."
     return _mostly(st.floats(lo, hi), ["nan", "inf", "-inf", "1e308", "x"])
 
 
 COMMON = {
-    "--quad-order": _mostly(st.sampled_from([1, 7, 20, 64]), [-1, 0, 10**8]),
+    "--quad-order": _mostly(
+        st.sampled_from([1, 7, 20, 64]), [-1, 0, 10**8, *past_limits("quadrature_order")]
+    ),
     "--aperture": st.sampled_from(["planar", "linear", "spda", "bogus"]),
     "--occupation": _float(0.05, 1.0),
-    "--elements": _mostly(st.sampled_from([1, 3, 5, 15]), [-3, 0, 4]),
+    "--elements": _mostly(st.sampled_from([1, 3, 5, 15]), [-3, 0, 4, *past_limits("elements")]),
 }
 COUPLING = {
     "--mutual-coupling": None,
@@ -56,12 +66,12 @@ COMMANDS = {
     },
     "region": {
         "--link": st.sampled_from(["ul", "dl"]),
-        "--splits": _mostly(st.integers(2, 300), [-1, 0, 1, 10**8]),
+        "--splits": _mostly(st.integers(2, 300), [-1, 0, 1, 10**8, *past_limits("splits")]),
     },
-    "sweep": {"--steps": _mostly(st.integers(1, 4), [-2, 0, 1001, 10**9])},
+    "sweep": {"--steps": _mostly(st.integers(1, 4), [-2, 0, 1001, 10**9, *past_limits("steps")])},
     "verify": {
         "--suite": st.sampled_from(["all", "whitening", "duality", "oracle", "bogus"]),
-        "--seed": _mostly(st.integers(0, 10**6), [-2]),
+        "--seed": _mostly(st.integers(0, 10**6), [-2, *past_limits("seed")]),
     },
 }
 COUPLED = {"gain", "capacity", "region"}

@@ -3,13 +3,15 @@
 Configs are drawn at random: two users in front of a planar, linear or
 discrete aperture, with optional budgets and rule orders, and then up to
 three faults: a value replaced by a tiny or huge number, a fraction, null
-or a wrong type, a key deleted, or an unknown key added.  Each config runs
-a cheap command, which must end with an exit code in {0, 1, 2, 3}, print no
-traceback, print exactly one error: line, as its last line, on exit 1 or 3,
-and leave strict JSON or a CSV with a header.  Sizes stay bounded: at most
-15 x 15 elements, rule orders up to 64 and 50 power splits; larger counts
-appear only where they are rejected before any work.  The search is
-derandomized, so a run is reproducible.
+or a wrong type (a whole-number key also by the two values just outside
+its range in scenario.LIMITS), a key deleted, or an unknown key added.
+Each config runs a cheap command, which must end with an exit code in
+{0, 1, 2, 3}, print no traceback, print exactly one error: line, as its
+last line, on exit 1 or 3, and leave strict JSON or a CSV with a header.
+Sizes stay bounded: at most 15 x 15 elements, rule orders up to 64 and 50
+power splits; larger counts appear only where they are rejected before any
+work, and the split count also draws the two values just outside its
+range.  The search is derandomized, so a run is reproducible.
 """
 
 import contextlib
@@ -21,11 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capalink.cli import main
-from test_cli_fuzz import assert_report
+from test_cli_fuzz import assert_report, past_limits
 
 REPLACEMENTS = [0, -1.0, 5e-324, 1e-300, 1e300, math.inf, math.nan, 3.7, 20.9,
                 None, "x", "1", True, [], {}]
 "What a fault puts in place of a value: tiny and huge numbers, fractions and wrong types."
+
+BOUNDED = {
+    "quadrature_order": "quadrature_order", "elements_x": "elements", "elements_z": "elements"
+}
+"Config keys read as whole numbers, and their rows in scenario.LIMITS."
 
 PLANAR = st.fixed_dictionaries(
     {"type": st.just("planar"), "length_x": st.floats(0.1, 2.0), "length_z": st.floats(0.1, 2.0)}
@@ -71,7 +78,8 @@ def configs(draw):
         holder, key = draw(st.sampled_from(_slots(cfg)))
         fault = draw(st.sampled_from(["replace", "delete", "unknown key"]))
         if fault == "replace":
-            holder[key] = draw(st.sampled_from(REPLACEMENTS))
+            edges = past_limits(BOUNDED[key]) if key in BOUNDED else []
+            holder[key] = draw(st.sampled_from(REPLACEMENTS + edges))
         elif fault == "delete":
             del holder[key]
         else:
@@ -89,7 +97,9 @@ COMMANDS = st.one_of(
         ["region", "--link", "ul"],
         ["verify", "--suite", "duality"],
     ]),
-    st.integers(2, 50).map(lambda n: ["region", "--link", "dl", "--splits", str(n)]),
+    st.one_of(st.integers(2, 50), st.sampled_from(past_limits("splits"))).map(
+        lambda n: ["region", "--link", "dl", "--splits", str(n)]
+    ),
 )
 
 

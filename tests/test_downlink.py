@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from capalink.downlink import (
     dpc_rates,
     dual_from_currents,
     dual_power_allocation,
+    kkt_threshold,
     rates_from_currents,
     region_dl,
     sum_capacity_dl,
@@ -127,6 +130,29 @@ class TestDualPowerAllocation:
         best = dual_objective(link, split.p1, split.p2)
         for p1 in np.linspace(0.0, link.power, 10_001):
             assert dual_objective(link, p1, link.power - p1) <= best + 1e-9
+
+    def test_threshold_keeps_the_closed_form_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            link = random_link(rng)
+            (c1, c2), ch = link.snr_per_power, link.ch
+            expected = (c1 * ch.g1 - c2 * ch.g2) / (c1 * c2 * ch.g1 * ch.g2 * ch.rho_bar)
+            assert kkt_threshold(link) == expected
+
+    @pytest.mark.parametrize("g1,g2", [(1e-160, 3e-160), (3e-170, 1e-160), (1e-160, 1e-311)])
+    def test_threshold_of_vanishing_gains(self, g1, g2):
+        # c1 c2 g1 g2 rho_bar falls below the normal floats or underflows to 0
+        link = DualLink(
+            ch=ChannelPair(g1=g1, g2=g2, rho=0.6), snr_per_power=(50.0, 80.0), power=1.0
+        )
+        e1, e2 = (Fraction(c) * Fraction(g) for c, g in zip(link.snr_per_power, (g1, g2)))
+        exact = (e1 - e2) / (e1 * e2 * Fraction(link.ch.rho_bar))
+        xi = kkt_threshold(link)
+        if abs(exact) > sys.float_info.max:
+            assert xi == (math.inf if exact > 0 else -math.inf)
+        else:
+            assert abs(xi - float(exact)) <= 1e-15 * abs(float(exact))
+        assert dual_power_allocation(link).branch == ("all-to-1" if exact > 0 else "all-to-2")
 
     def test_interior_split_continuous_at_corners(self):
         # as the threshold approaches the budget, the interior split meets

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from capalink.geometry import (
-    MAX_ELEMENTS_PER_SIDE,
     DiscreteAperture,
     LinearAperture,
     PlanarAperture,
@@ -110,14 +109,6 @@ class TestApertureTypes:
         a = DiscreteAperture(3, 3, 0.1, 0.1**2)
         assert a.occupation_ratio == pytest.approx(1.0, abs=1e-15)
         assert math.sqrt(a.element_area) == pytest.approx(a.spacing, abs=1e-15)
-
-    def test_element_count_ceiling(self):
-        # the ceiling is checked before anything is allocated per element
-        m = MAX_ELEMENTS_PER_SIDE
-        assert DiscreteAperture(m, m, 0.01, 1e-4).count == m * m
-        for counts in [(m + 2, 1), (1, m + 2), (10**9 + 1, 1)]:
-            with pytest.raises(ValueError, match="must be <="):
-                DiscreteAperture(*counts, 0.01, 1e-4)
 
     def test_discrete_area_is_occupied_area(self):
         a = DiscreteAperture(5, 3, 0.1, 0.004)

@@ -6,10 +6,19 @@ src/capalink: by a call, an attribute access (getattr with a literal name
 included) or an import.  Docstrings and comments do not count.  Helpers that
 only tests call belong in tests/references.py.  The match is by name, so a
 method that shares its name with a used attribute of another class passes.
+
+Every number enters through one reader: each numeric command-line option is
+typed by the CLI's wrapper of scenario.read_number, with its whole-number
+range, if any, from scenario.LIMITS, and rejects the values just outside it.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from capalink import cli
+from capalink.scenario import LIMITS
+from test_cli_fuzz import past_limits
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "capalink"
 
@@ -60,3 +69,40 @@ def unreferenced_names() -> list[str]:
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreferenced_names() == []
+
+
+def _options(parser: argparse.ArgumentParser):
+    "(command, action) for every option of every subcommand."
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                yield from ((command, a) for a in sub._actions if a.option_strings)
+
+
+def test_every_numeric_option_is_read_by_the_one_reader():
+    numeric = [
+        (command, action)
+        for command, action in _options(cli.build_parser())
+        if action.type is not None or type(action.default) in (int, float)
+    ]
+    assert len(numeric) > 10
+    for command, action in numeric:
+        assert isinstance(action.type, cli._Number), (command, action.option_strings)
+        assert action.type.limit is None or action.type.limit in LIMITS
+
+
+def test_whole_number_options_reject_the_values_past_their_limits(capsys):
+    # argparse reads an option's value as it meets it, before any work
+    for command, action in _options(cli.build_parser()):
+        limit = getattr(action.type, "limit", None)
+        if limit is None:
+            continue
+        flag = action.option_strings[0]
+        for value in past_limits(limit):
+            argv = [command, *(["print"] if command == "scene" else []), flag, str(value)]
+            assert cli.main(argv) == 1
+            lo, hi = LIMITS[limit]
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: argument {flag}: value must be a whole number "
+                f"from {lo} to {hi}, got {value}"
+            ]

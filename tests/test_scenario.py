@@ -100,7 +100,7 @@ class TestConfigSchema:
         del cfg["quadrature_order"]
         assert scene_from_dict(cfg).quadrature_order is None
 
-    @pytest.mark.parametrize("value", [0, False, [], "x"])
+    @pytest.mark.parametrize("value", [0, False, [], "x", "20", True])
     def test_falsy_or_malformed_quadrature_order_rejected(self, value):
         # only an absent key or null leaves the order unset
         cfg = {**scene_to_dict(scene_defaults()), "quadrature_order": value}
@@ -159,19 +159,19 @@ class TestDerived:
         s = scene_defaults()
         ch = scenario.channel_pair(s).pair
         assert 0 < ch.g2 < ch.g1 < 0.5
-        sl = scenario.with_aperture(s, LinearAperture(0.01, 0.5))
+        sl = replace(s, aperture=LinearAperture(0.01, 0.5))
         chl = scenario.channel_pair(sl).pair
         assert 0 < chl.g1 < 0.5 and abs(chl.rho) <= 1.0
         m = 41
         d = 0.5 / m
-        ss = scenario.with_aperture(s, DiscreteAperture(m, m, d, d * d))
+        ss = replace(s, aperture=DiscreteAperture(m, m, d, d * d))
         chs = scenario.channel_pair(ss).pair
         assert chs.g1 == pytest.approx(ch.g1, rel=0.02)
 
     @pytest.mark.parametrize("order", [20, 1000])
     def test_linear_rule_matches_kernel_sum(self, order):
         # the 1-D rule along the strip written out with kernel_Q
-        s = scenario.with_aperture(scene_defaults(), LinearAperture(0.01, 400.0))
+        s = replace(scene_defaults(), aperture=LinearAperture(0.01, 400.0))
         s = replace(s, quadrature_order=order)
         rule = chebyshev_nodes(order)
         z = s.aperture.length_z / 2 * rule.nodes
@@ -200,7 +200,7 @@ class TestDerived:
     def test_auto_quadrature_order(self):
         s = scene_defaults()
         assert scenario.auto_quadrature_order(s) == 20
-        big = scenario.with_aperture(s, PlanarAperture(100.0, 100.0))
+        big = replace(s, aperture=PlanarAperture(100.0, 100.0))
         assert scenario.auto_quadrature_order(big) == 1000
         # an explicit order wins at any area
         for scene in (s, big):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capalink.geometry import PlanarAperture
-from capalink.scenario import scene_defaults, scene_from_dict, with_aperture
+from capalink.scenario import scene_defaults, scene_from_dict
 from capalink.uplink import MuRoot, whitening_mu
 from capalink.verify import (
     WHITENING_ROUNDOFF,
@@ -51,8 +51,8 @@ class TestWhitenedCovarianceCheck:
         base = scene_defaults()
         for db in np.linspace(0.0, 90.0, 10):
             for side in np.geomspace(0.3, 30.0, 5):
-                scene = with_aperture(
-                    replace(base, ul_snr_db=(db, base.ul_snr_db[1])), PlanarAperture(side, side)
+                scene = replace(
+                    base, ul_snr_db=(db, base.ul_snr_db[1]), aperture=PlanarAperture(side, side)
                 )
                 h1, snr1, g1 = whitening_inputs(scene)
                 mu = whitening_mu(snr1, g1, root)

@@ -43,7 +43,7 @@ from .numerics import ORACLE_MAX_PANELS, NonConvergenceError, adaptive_integrate
 log = logging.getLogger(__name__)
 
 PLANAR_GAIN_BOUND = 0.5
-"Energy-conservation ceiling for any planar aperture."
+"Energy-conservation ceiling for any continuous aperture, planar or linear."
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,11 @@ def gain_planar(a: PlanarAperture, p: UserPlacement) -> float:
             + dot(j, k) * norms[i]
         )
         total += math.atan2(triple, den)
-    gain = total / (2.0 * math.pi)
+    return _energy_bounded(total / (2.0 * math.pi))
+
+
+def _energy_bounded(gain: float) -> float:
+    "A continuous aperture's gain, refused outside (0, PLANAR_GAIN_BOUND)."
     if not 0.0 < gain < PLANAR_GAIN_BOUND:
         raise ValueError(f"gain {gain} escaped the (0, 1/2) energy bound")
     return gain
@@ -173,7 +177,9 @@ def gain_linear(a: LinearAperture, p: UserPlacement) -> float:
     th = p.cos_z
     rho_geom = (lz - 2.0 * r * th) / math.sqrt(lz**2 - 4.0 * r * th * lz + 4.0 * r**2)
     rho_geom += (lz + 2.0 * r * th) / math.sqrt(lz**2 + 4.0 * r * th * lz + 4.0 * r**2)
-    return a.length_x * math.sin(p.phi) * rho_geom / (4.0 * math.pi * r * math.sin(p.theta))
+    return _energy_bounded(
+        a.length_x * math.sin(p.phi) * rho_geom / (4.0 * math.pi * r * math.sin(p.theta))
+    )
 
 
 def element_channel(a: DiscreteAperture, p: UserPlacement, wl: Wavelength) -> np.ndarray:

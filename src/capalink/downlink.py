@@ -7,10 +7,11 @@ currents (reverse transform).  The transforms act on element-domain channel
 vectors (channel.grid_channel), so their integrals are plain vector
 products.  DPC rates are the dual uplink's SIC rates with the order
 reversed (Vishwanath, Jindal & Goldsmith, IEEE Trans. IT 49, 2003), so the
-rate formulas live in uplink only.  The sum capacity is one closed form at
-the optimal split.  ZF precoding with two-channel water-filling is built on
-the same statistics, and the capacity region is the convex hull of the dual
-pentagons of all splits, formed as one array (uplink.pentagon).
+rate formulas live in uplink only.  One KKT split (dual_power_allocation)
+divides the budget for every scheme: the sum capacity is one closed form at
+that split, and ZF precoding takes the same split as its water-filled powers.
+The capacity region is the convex hull of the dual pentagons of all splits,
+formed as one array (uplink.pentagon).
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import numpy as np
 from .channel import ChannelPair
 from .regions import convex_hull
 from .uplink import Rates, SicOrder, pentagon, sic_rates
-
-RHO_BAR_FLOOR = 1e-12
-"Below this separability the KKT threshold is undefined (coincident users)."
 
 DEFAULT_SPLITS = 201
 "Power splits region_dl sweeps unless told otherwise."
@@ -68,10 +66,12 @@ class DualPowerSplit:
 def kkt_threshold(link: DualLink) -> float:
     """Threshold xi deciding the dual power split.
 
-    Equal to (c1 g1 - c2 g2) / (c1 c2 g1 g2 rho_bar); undefined for
-    rho_bar ~ 0, handled by the caller's coincident-user branch.  Where the
-    product underflows (vanishing gains), the quotient is taken one factor
-    at a time, and may overflow to an infinity, which picks a corner branch.
+    Equal to (c1 g1 - c2 g2) / (c1 c2 g1 g2 rho_bar), which is also
+    1/c'_2 - 1/c'_1 for the ZF gains c'_k = c_k g_k rho_bar.  Where the
+    product underflows (vanishing gains, coincident users), the quotient is
+    taken one factor at a time and may overflow to an infinity, which picks
+    the stronger user's corner.  At rho_bar = 0 and c1 g1 = c2 g2 it is nan:
+    every split then gives the same sum rate.
     """
     c1, c2 = link.snr_per_power
     g1, g2 = link.ch.g1, link.ch.g2
@@ -87,23 +87,16 @@ def dual_power_allocation(link: DualLink) -> DualPowerSplit:
     """Closed-form KKT power split of the dual uplink problem.
 
     The unconstrained stationary point is P1 = (P + xi)/2, which meets the
-    corner branches continuously at xi = +-P.  For coincident users (rho_bar
-    below RHO_BAR_FLOOR) superposing both streams brings no gain and all
-    power goes to the stronger single-user channel.
+    corner branches continuously at xi = +-P.  A nan threshold (every split
+    equally good) falls to the last branch.
     """
     p = link.power
-    if link.ch.rho_bar < RHO_BAR_FLOOR:
-        c1g1 = link.snr_at(0, p) * link.ch.g1
-        c2g2 = link.snr_at(1, p) * link.ch.g2
-        if c1g1 >= c2g2:
-            return DualPowerSplit(p1=p, p2=0.0, xi=math.inf, branch="coincident-1")
-        return DualPowerSplit(p1=0.0, p2=p, xi=-math.inf, branch="coincident-2")
     xi = kkt_threshold(link)
     if xi >= p:
         return DualPowerSplit(p1=p, p2=0.0, xi=xi, branch="all-to-1")
-    if xi <= -p:
-        return DualPowerSplit(p1=0.0, p2=p, xi=xi, branch="all-to-2")
-    return DualPowerSplit(p1=(p + xi) / 2.0, p2=(p - xi) / 2.0, xi=xi, branch="interior")
+    if -p < xi < p:
+        return DualPowerSplit(p1=(p + xi) / 2.0, p2=(p - xi) / 2.0, xi=xi, branch="interior")
+    return DualPowerSplit(p1=0.0, p2=p, xi=xi, branch="all-to-2")
 
 
 def dpc_rates(link: DualLink, p1: float, p2: float, order: SicOrder) -> Rates:
@@ -131,38 +124,20 @@ def sum_capacity_dl(link: DualLink) -> float:
     return np.log2(1.0 + e1 + e2 + e1 * e2 * link.ch.rho_bar)
 
 
-def water_fill_two(c1: float, c2: float, power: float) -> tuple[float, float]:
-    """Closed-form water-filling over two parallel channels.
-
-    Maximizes log2(1 + c1 P1) + log2(1 + c2 P2) under P1 + P2 = power.
-    Degenerate channels (c_k = 0) receive power only if the other is also
-    degenerate.
-    """
-    if power < 0.0:
-        raise ValueError("power must be nonnegative")
-    if c1 <= 0.0 and c2 <= 0.0:
-        return power / 2.0, power / 2.0
-    if c1 <= 0.0:
-        return 0.0, power
-    if c2 <= 0.0:
-        return power, 0.0
-    level = (power + 1.0 / c1 + 1.0 / c2) / 2.0
-    if level >= max(1.0 / c1, 1.0 / c2):
-        return level - 1.0 / c1, level - 1.0 / c2
-    return (power, 0.0) if c1 >= c2 else (0.0, power)
-
-
 def zf_precoding_dl(link: DualLink) -> Rates:
     """Zero-forcing precoding with water-filled powers.
 
-    Effective per-unit-power gains are c_k g_k (1 - |rho|^2); at |rho| = 1 the
-    projection annihilates both channels and the rates are zero.
+    Effective per-unit-power gains are c'_k = c_k g_k (1 - |rho|^2).
+    Water-filling over them splits the budget at P1 = (P + 1/c'_2 - 1/c'_1)/2,
+    and 1/c'_2 - 1/c'_1 is the KKT threshold, so the powers are the dual
+    split.  At |rho| = 1 the projection annihilates both channels and the
+    rates are zero.
     """
+    split = dual_power_allocation(link)
     rb = link.ch.rho_bar
     c1 = link.snr_per_power[0] * link.ch.g1 * rb
     c2 = link.snr_per_power[1] * link.ch.g2 * rb
-    p1, p2 = water_fill_two(c1, c2, link.power)
-    return Rates(r1=math.log2(1.0 + c1 * p1), r2=math.log2(1.0 + c2 * p2))
+    return Rates(r1=math.log2(1.0 + c1 * split.p1), r2=math.log2(1.0 + c2 * split.p2))
 
 
 def _norm2(v: np.ndarray) -> float:

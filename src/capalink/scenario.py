@@ -209,10 +209,7 @@ def channel_pair(scene: Scene, coupling_model: CouplingModel | None = None) -> S
         rho = correlation(ap, *scene.users, wl, n) if scene.is_two_user else None
         stats = Statistics(gains, rho)
     if stats.rho is not None and stats.pair.rho_bar < 1e-9:
-        log.warning(
-            "users are spatially coincident (rho_bar ~ 0); superposition "
-            "coding brings no gain over the stronger user"
-        )
+        log.warning("users are spatially coincident: rho_bar = %.3g", stats.pair.rho_bar)
     return stats
 
 

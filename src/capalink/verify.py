@@ -26,7 +26,6 @@ import numpy as np
 
 from . import channel, scenario
 from .downlink import (
-    DualLink,
     currents_from_dual,
     dpc_rates,
     dual_from_currents,
@@ -39,18 +38,16 @@ from .uplink import MuRoot, SicOrder, simulate_table1, whitening_mu
 log = logging.getLogger(__name__)
 
 
-def _planar_or_raise(scene) -> PlanarAperture:
-    if not isinstance(scene.aperture, PlanarAperture):
-        raise scenario.SceneError("this check needs a planar aperture")
-    return scene.aperture
-
-
 def grid_channels(scene, resolution):
     "Both users' element-domain channel vectors on a uniform (n_x, n_z) aperture grid."
-    ap = _planar_or_raise(scene)
+    if not isinstance(scene.aperture, PlanarAperture):
+        raise scenario.SceneError("this check needs a planar aperture")
     if not scene.is_two_user:
         raise scenario.SceneError("this check needs two users")
-    return tuple(channel.grid_channel(ap, u, scene.wavelength, *resolution) for u in scene.users)
+    return tuple(
+        channel.grid_channel(scene.aperture, u, scene.wavelength, *resolution)
+        for u in scene.users
+    )
 
 
 WHITENING_ROUNDOFF = 1e-13
@@ -108,15 +105,10 @@ def duality_round_trip(scene, seed: int = 0) -> dict:
     closed forms evaluated with the same grid statistics.
     """
     h1, h2 = grid_channels(scene, (48, 48))
-    c1 = scene.snr_coefficient(0)
-    c2 = scene.snr_coefficient(1)
+    link = scenario.dual_link(scene, channel.pair_from_vectors(h1, h2).pair)
+    c1, c2 = link.snr_per_power
     h1hat = math.sqrt(c1) * h1
     h2hat = math.sqrt(c2) * h2
-    link = DualLink(
-        ch=channel.pair_from_vectors(h1, h2).pair,
-        snr_per_power=(c1, c2),
-        power=scene.downlink_power,
-    )
     split = dual_power_allocation(link)
     # exercise an interior point as well when the KKT split is a corner
     p1, p2 = split.p1, split.p2

@@ -5,8 +5,9 @@ routes the tests check it against: a discrete array's one-user gain, plain
 Chebyshev-Gauss integration, a 1-D front end of the adaptive oracle, the
 white-noise sampler of a weighted grid, the MRC and ZF detectors and the MRT
 current on element-domain vectors, the whitening quadratic and inverse, the
-dual objective, the grid-noise and Table-I pipeline checks, and tests of a
-rate region given as its counterclockwise vertex tuple.
+dual objective, two-channel water-filling, the grid-noise and Table-I
+pipeline checks, and tests of a rate region given as its counterclockwise
+vertex tuple.
 """
 
 import math
@@ -153,6 +154,27 @@ def mrt_current(h: np.ndarray, power: float) -> np.ndarray:
 def dual_objective(link: DualLink, p1: float, p2: float) -> float:
     "Dual-uplink sum rate at an arbitrary feasible split."
     return sum_capacity_ul(link.snr_at(0, p1), link.snr_at(1, p2), link.ch)
+
+
+def water_fill_two(c1: float, c2: float, power: float) -> tuple[float, float]:
+    """Closed-form water-filling over two parallel channels.
+
+    Maximizes log2(1 + c1 P1) + log2(1 + c2 P2) under P1 + P2 = power.
+    Degenerate channels (c_k = 0) receive power only if the other is also
+    degenerate.
+    """
+    if power < 0.0:
+        raise ValueError("power must be nonnegative")
+    if c1 <= 0.0 and c2 <= 0.0:
+        return power / 2.0, power / 2.0
+    if c1 <= 0.0:
+        return 0.0, power
+    if c2 <= 0.0:
+        return power, 0.0
+    level = (power + 1.0 / c1 + 1.0 / c2) / 2.0
+    if level >= max(1.0 / c1, 1.0 / c2):
+        return level - 1.0 / c1, level - 1.0 / c2
+    return (power, 0.0) if c1 >= c2 else (0.0, power)
 
 
 # verify

@@ -24,12 +24,17 @@ def run(capsys, *argv):
     return code, out
 
 
-def sweep_rows(capsys, *argv):
-    "The rows of a sweep that exits 0, each a dict from column name to value."
-    code, out = run(capsys, "sweep", *argv)
-    assert code == 0
+def csv_rows(out):
+    "The rows of a CSV report, each a dict from column name to value."
     header, *lines = out.strip().splitlines()
     return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
+def sweep_rows(capsys, *argv):
+    "The rows of a sweep that exits 0."
+    code, out = run(capsys, "sweep", *argv)
+    assert code == 0
+    return csv_rows(out)
 
 
 def write_config(tmp_path, aperture):
@@ -739,15 +744,47 @@ class TestDeterminismAndExitCodes:
             assert [line for line in lines if line.startswith("error:")] == lines[-1:]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_csv_exits_one(self, capsys, tmp_path):
-        # the rates of a 1e300 m long strip overflow to inf
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", "--link", "dl", "--scheme", "zf"],
+            ["sweep", "--param", "snr", "--start", "10", "--stop", "20", "--steps", "2"],
+        ],
+    )
+    def test_vanishing_gains_reach_zero_forcing(self, argv, capsys, tmp_path):
+        # the ZF gains c'_k = c_k g_k rho_bar are subnormal, so 1/c'_k overflows
+        path = write_config(tmp_path, {"type": "planar", "length_x": 1e-308, "length_z": 0.5})
+        assert main(argv + ["--config", path]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "capacity":
+            rates = json.loads(out)["rates"]
+        else:
+            rates = [row["R_dl_zf"] for row in csv_rows(out)]
+        assert len(rates) == 2 and all(math.isfinite(r) for r in rates)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strip_gain_past_the_energy_bound_exits_one(self, capsys, tmp_path):
         path = write_config(tmp_path, {"type": "linear", "length_x": 1e300, "length_z": 0.5})
-        assert main(["region", "--link", "dl", "--splits", "3", "--config", path]) == 1
+        assert main(["gain", "--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert [line for line in lines if line.startswith("error:")] == [
-            "error: out of range float value in a CSV row: inf,9.9768550782301782e+02"
+            "error: gain 1.7243840013784052e+296 escaped the (0, 1/2) energy bound"
+        ] == lines[-1:]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_csv_exits_one(self, capsys, tmp_path):
+        # at 3080 dB the dual sum rate's product e1 e2 rho_bar overflows to inf
+        cfg = {**scene_to_dict(scene_defaults()), "downlink_sum_snr_db": 3080.0}
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["region", "--link", "dl", "--splits", "3", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: out of range float value in a CSV row: inf,1.0066512146110255e+03"
         ] == lines[-1:]
 
     def test_largest_splits_and_steps_run(self, capsys):

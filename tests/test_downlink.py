@@ -17,12 +17,18 @@ from capalink.downlink import (
     rates_from_currents,
     region_dl,
     sum_capacity_dl,
-    water_fill_two,
     zf_precoding_dl,
 )
 from capalink.geometry import PlanarAperture, UserPlacement, Wavelength
 from capalink.uplink import SicOrder, region_ul, sic_rates, su_capacity, sum_capacity_ul
-from references import contains, dual_objective, is_convex, max_sum_rate, mrt_current
+from references import (
+    contains,
+    dual_objective,
+    is_convex,
+    max_sum_rate,
+    mrt_current,
+    water_fill_two,
+)
 
 WL = Wavelength(0.125)
 A_U = WL.isotropic_rx_area
@@ -105,14 +111,27 @@ class TestDualPowerAllocation:
                 assert dual_objective(link, p1, link.power - p1) <= best + 1e-9
 
     def test_coincident_users_fall_back(self):
+        # rho_bar = 0: the threshold is +inf and picks the stronger user's corner
         link = DualLink(
             ch=ChannelPair(g1=0.3, g2=0.1, rho=1.0),
             snr_per_power=(10.0, 10.0),
             power=2.0,
         )
         split = dual_power_allocation(link)
-        assert split.branch == "coincident-1"
+        assert split.branch == "all-to-1" and split.xi == math.inf
         assert (split.p1, split.p2) == (2.0, 0.0)
+
+    def test_nearly_coincident_users_keep_the_interior_split(self):
+        # rho_bar = 1e-13 at a 200 dB budget: superposing both streams gains
+        # about 19 bits over the stronger user alone
+        link = DualLink(
+            ch=ChannelPair(g1=0.25, g2=0.25, rho=math.sqrt(1.0 - 1e-13)),
+            snr_per_power=(1.0, 1.0),
+            power=1e20,
+        )
+        best = sum_capacity_dl(link)
+        for p1 in np.linspace(0.0, link.power, 10_001):
+            assert dual_objective(link, p1, link.power - p1) <= best + 1e-9
 
     @pytest.mark.parametrize("g1,g2,branch", [
         (0.45, 1e-3, "all-to-1"),
@@ -320,9 +339,7 @@ class TestSumCapacityDl:
         # one expression on every branch: at a corner it is the single-user
         # capacity at the full budget, bit for bit
         rng = np.random.default_rng(23)
-        hits = dict.fromkeys(
-            ["interior", "all-to-1", "all-to-2", "coincident-1", "coincident-2"], 0
-        )
+        hits = dict.fromkeys(["interior", "all-to-1", "all-to-2"], 0)
         for _ in range(4000):
             g1, g2 = 10.0 ** rng.uniform(-6.0, math.log10(0.499), size=2)
             mag = 1.0 if rng.uniform() < 0.2 else rng.uniform(0.0, 0.999)
@@ -333,9 +350,9 @@ class TestSumCapacityDl:
             )
             split = dual_power_allocation(link)
             hits[split.branch] += 1
-            if split.branch in ("all-to-1", "coincident-1"):
+            if split.branch == "all-to-1":
                 assert sum_capacity_dl(link) == su_capacity(link.snr_at(0, link.power), g1)
-            elif split.branch in ("all-to-2", "coincident-2"):
+            elif split.branch == "all-to-2":
                 assert sum_capacity_dl(link) == su_capacity(link.snr_at(1, link.power), g2)
             else:
                 assert sum_capacity_dl(link) == pytest.approx(
@@ -383,6 +400,31 @@ class TestWaterFilling:
         )
         rates = zf_precoding_dl(link)
         assert rates.r1 == 0.0 and rates.r2 == 0.0
+
+    def test_zf_powers_are_the_water_filled_ones(self):
+        # the dual split is the water-filling over c'_k = c_k g_k rho_bar,
+        # on links with rho_bar = 0 and with rho_bar down to the last bit of 1
+        rng = np.random.default_rng(29)
+        for i in range(10_000):
+            link = random_link(rng)
+            if i % 10 == 0:
+                rho = np.exp(2j * math.pi * rng.uniform())
+            elif i % 10 == 1:
+                rb = 10.0 ** rng.uniform(-30.0, -12.0)  # 0 below 2**-53
+                rho = math.sqrt(1.0 - rb) * np.exp(2j * math.pi * rng.uniform())
+            else:
+                rho = link.ch.rho
+            link = DualLink(
+                ch=ChannelPair(g1=link.ch.g1, g2=link.ch.g2, rho=rho),
+                snr_per_power=link.snr_per_power,
+                power=link.power,
+            )
+            c1, c2 = (c * g * link.ch.rho_bar for c, g in
+                      zip(link.snr_per_power, (link.ch.g1, link.ch.g2)))
+            p1, p2 = water_fill_two(c1, c2, link.power)
+            rates = zf_precoding_dl(link)
+            assert abs(rates.r1 - math.log2(1.0 + c1 * p1)) <= 1e-14
+            assert abs(rates.r2 - math.log2(1.0 + c2 * p2)) <= 1e-14
 
     def test_zf_dominated_by_capacity(self):
         rng = np.random.default_rng(8)

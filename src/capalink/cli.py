@@ -28,12 +28,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, channel, downlink, scenario, uplink, verify
+from . import __version__, channel, scenario, verify
 from .coupling import CouplingModel
 from .geometry import DiscreteAperture, LinearAperture, PlanarAperture
 from .numerics import NonConvergenceError
 from .scenario import Scene, SceneError, read_number, scene_defaults, scene_to_dict, validate
-from .uplink import SicOrder
 
 CONFIG_ENV_VAR = "CAPALINK_CONFIG"
 
@@ -128,6 +127,8 @@ def _warn(scene: Scene):
 
 def cmd_gain(args) -> int:
     scene = _resolve_scene(args)
+    if args.oracle and not isinstance(scene.aperture, PlanarAperture):
+        raise SceneError("--oracle requires a planar aperture")
     _warn(scene)
     stats = scenario.channel_pair(scene, coupling_model=_coupling_model(args))
     report: dict = {"command": "gain", "version": __version__}
@@ -142,9 +143,6 @@ def cmd_gain(args) -> int:
             rho_imag=ch.rho.imag,
         )
     if args.oracle:
-        if not isinstance(scene.aperture, PlanarAperture):
-            print("error: --oracle requires a planar aperture", file=sys.stderr)
-            return EXIT_VALIDATION
         gains, rho = channel.planar_oracle(scene.aperture, scene.users, scene.wavelength)
         for k, o in enumerate(gains, start=1):
             report[f"oracle_g{k}"] = o
@@ -159,52 +157,26 @@ def cmd_capacity(args) -> int:
     scene = _resolve_scene(args)
     _warn(scene)
     stats = scenario.channel_pair(scene, coupling_model=_coupling_model(args))
-    report: dict = {
-        "command": "capacity",
-        "version": __version__,
-        "link": args.link,
-        "scheme": args.scheme,
-    }
+    rates = scenario.rates(scene, stats, args.link)
+    link, zf = args.link, args.scheme == "zf"
+    report: dict = {"command": "capacity", "version": __version__, "link": link,
+                    "scheme": args.scheme}
     if stats.rho is None:
-        if args.link == "ul":
-            snr = scene.ul_snr_linear[0]
-        else:
-            snr = scene.snr_coefficient(0) * scene.downlink_power
-        report["capacity"] = uplink.su_capacity(snr, stats.gains[0])
-        _emit(args, scene, _json(report))
-        return EXIT_OK
-
-    ch = stats.pair
-    if args.link == "ul":
-        s1, s2 = scene.ul_snr_linear
-        if args.scheme == "zf":
-            report["sum_rate"] = uplink.zf_sum_rate_ul(s1, s2, ch)
-        else:
-            r21 = uplink.sic_rates(s1, s2, ch, SicOrder.USER2_FIRST)
-            r12 = uplink.sic_rates(s1, s2, ch, SicOrder.USER1_FIRST)
-            report["sum_rate"] = uplink.sum_capacity_ul(s1, s2, ch)
-            report["rates_2_then_1"] = [r21.r1, r21.r2]
-            report["rates_1_then_2"] = [r12.r1, r12.r2]
+        report["capacity"] = rates[f"C1_{link}"]
     else:
-        link = scenario.dual_link(scene, ch)
-        if args.scheme == "zf":
-            rates = downlink.zf_precoding_dl(link)
-            report["sum_rate"] = rates.total
-            report["rates"] = [rates.r1, rates.r2]
-        else:
-            split = downlink.dual_power_allocation(link)
-            rates = downlink.dpc_rates(link, split.p1, split.p2, SicOrder.USER2_FIRST)
-            report["sum_rate"] = downlink.sum_capacity_dl(link)
-            report["rates"] = [rates.r1, rates.r2]
-            if args.dual_trace:
-                report["dual_trace"] = {
-                    "p1": split.p1,
-                    "p2": split.p2,
-                    "xi": split.xi if math.isfinite(split.xi) else str(split.xi),
-                    "branch": split.branch,
-                }
-    report["g1"], report["g2"] = ch.g1, ch.g2
-    report["rho_abs2"] = abs(ch.rho) ** 2
+        ch = stats.pair
+        report.update(g1=ch.g1, g2=ch.g2, rho_abs2=abs(ch.rho) ** 2)
+        report["sum_rate"] = rates[f"R_{link}_zf" if zf else f"C_{link}"]
+        if link == "dl":
+            r = rates["rates_zf" if zf else "rates"]
+            report["rates"] = [r.r1, r.r2]
+            if args.dual_trace and not zf:
+                s = rates["split"]
+                xi = s.xi if math.isfinite(s.xi) else str(s.xi)
+                report["dual_trace"] = {"p1": s.p1, "p2": s.p2, "xi": xi, "branch": s.branch}
+        elif not zf:
+            for key in ("rates_2_then_1", "rates_1_then_2"):
+                report[key] = [rates[key].r1, rates[key].r2]
     _emit(args, scene, _json(report))
     return EXIT_OK
 
@@ -214,35 +186,19 @@ def cmd_region(args) -> int:
         raise SceneError("--splits applies to the downlink region only (--link dl)")
     scene = _resolve_scene(args)
     _warn(scene)
-    ch = scenario.channel_pair(scene, coupling_model=_coupling_model(args)).pair
-    if args.link == "ul":
-        s1, s2 = scene.ul_snr_linear
-        vertices = uplink.region_ul(s1, s2, ch)
-    else:
-        link = scenario.dual_link(scene, ch)
-        splits = downlink.DEFAULT_SPLITS if args.splits is None else args.splits
-        vertices = downlink.region_dl(link, n_splits=splits)
+    stats = scenario.channel_pair(scene, coupling_model=_coupling_model(args))
+    splits = scenario.DEFAULT_SPLITS if args.splits is None else args.splits
+    vertices = scenario.region(scene, stats, args.link, splits)
     buf = io.StringIO()
     _write_csv(buf, ["R1", "R2"], [list(v) for v in vertices])
     _emit(args, scene, buf.getvalue())
     return EXIT_OK
 
 
-def _sweep_values(args) -> np.ndarray:
-    "The swept values: linear in dB for snr, geometric for an area or occupation."
-    if args.param == "snr":
-        if not math.isfinite(args.stop - args.start):
-            raise SceneError(f"the snr span {args.start} to {args.stop} dB overflows a float")
-        return np.linspace(args.start, args.stop, args.steps)
-    if not (args.start > 0 and args.stop > 0):
-        raise SceneError(f"a {args.param} sweep needs --start and --stop above 0")
-    return np.geomspace(args.start, args.stop, args.steps)
-
-
 def cmd_sweep(args) -> int:
     scene = _resolve_scene(args)
     _warn(scene)
-    rows = scenario.sweep(scene, args.param, _sweep_values(args))
+    rows = scenario.sweep(scene, args.param, args.start, args.stop, args.steps)
     buf = io.StringIO()
     _write_csv(buf, [args.param, *scenario.SWEEP_COLUMNS], rows)
     _emit(args, scene, buf.getvalue())
@@ -370,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--splits",
         type=_Number("splits"),
-        help=f"downlink power splits (default {downlink.DEFAULT_SPLITS})",
+        help=f"downlink power splits (default {scenario.DEFAULT_SPLITS})",
     )
     p.set_defaults(func=cmd_region)
 

@@ -26,9 +26,6 @@ from .channel import ChannelPair
 from .regions import convex_hull
 from .uplink import Rates, SicOrder, pentagon, sic_rates
 
-DEFAULT_SPLITS = 201
-"Power splits region_dl sweeps unless told otherwise."
-
 
 @dataclass(frozen=True)
 class DualLink:
@@ -212,7 +209,7 @@ def dual_from_currents(
     return p1, p2
 
 
-def region_dl(link: DualLink, n_splits: int = DEFAULT_SPLITS) -> tuple:
+def region_dl(link: DualLink, n_splits: int) -> tuple:
     """Downlink capacity region: convex hull of the dual-uplink pentagons.
 
     Sweeps n_splits evenly spaced power splits (P1, P - P1) and hulls the

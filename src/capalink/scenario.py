@@ -17,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import channel, coupling, downlink, uplink
 from .channel import ChannelPair, Statistics, db_to_linear, downlink_snr_coefficient
 from .coupling import CouplingModel
@@ -28,6 +30,7 @@ from .geometry import (
     UserPlacement,
     Wavelength,
 )
+from .uplink import SicOrder
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +48,9 @@ LIMITS = {
 """Range (lowest, highest) of each whole-number input: rule order, elements
 per side, downlink power splits, sweep rows and seed.  Costs measured in one
 process with one BLAS thread on a 2-vCPU Xeon."""
+
+DEFAULT_SPLITS = 201
+"Power splits of a downlink region when none are asked for."
 
 
 class SceneError(ValueError):
@@ -213,7 +219,7 @@ def channel_pair(scene: Scene, coupling_model: CouplingModel | None = None) -> S
     return stats
 
 
-def asymptotic_pair(scene: Scene) -> ChannelPair:
+def asymptotic_pair(scene: Scene) -> Statistics:
     """Statistics of the infinite aperture: each user's limit gain, rho = 0.
 
     A planar aperture captures half the radiated power, a discrete array the
@@ -228,9 +234,9 @@ def asymptotic_pair(scene: Scene) -> ChannelPair:
             ap.length_x * math.sin(u.phi) / (2.0 * math.pi * u.range_m * math.sin(u.theta))
             for u in scene.users
         )
-        return ChannelPair(g1, g2, 0j)
+        return Statistics((g1, g2), 0j)
     g = 0.5 * ap.occupation_ratio if isinstance(ap, DiscreteAperture) else 0.5
-    return ChannelPair(g, g, 0j)
+    return Statistics((g, g), 0j)
 
 
 def dual_link(scene: Scene, ch: ChannelPair) -> DualLink:
@@ -242,6 +248,47 @@ def dual_link(scene: Scene, ch: ChannelPair) -> DualLink:
     )
 
 
+def rates(scene: Scene, stats: Statistics, link: str) -> dict:
+    """Every named rate of one link, "ul" or "dl", on stats, in bits/s/Hz;
+    only that link's budget is read.
+
+    Ck_<link> is user k's single-user capacity.  Two users add the sum
+    capacity C_<link>, the ZF sum rate R_<link>_zf and Rates: the uplink's
+    SIC rates of both decode orders, the downlink's DPC rates (2->1) at its
+    DualPowerSplit `split` and its ZF rates.
+    """
+    report = {}
+    if stats.rho is not None:
+        ch = stats.pair
+        if link == "ul":
+            s1, s2 = scene.ul_snr_linear
+            report = {"C_ul": uplink.sum_capacity_ul(s1, s2, ch),
+                      "R_ul_zf": uplink.zf_sum_rate_ul(s1, s2, ch),
+                      "rates_2_then_1": uplink.sic_rates(s1, s2, ch, SicOrder.USER2_FIRST),
+                      "rates_1_then_2": uplink.sic_rates(s1, s2, ch, SicOrder.USER1_FIRST)}
+        else:
+            dl = dual_link(scene, ch)
+            split, zf = downlink.dual_power_allocation(dl), downlink.zf_precoding_dl(dl)
+            report = {"C_dl": downlink.sum_capacity_dl(dl), "R_dl_zf": zf.total, "split": split,
+                      "rates": downlink.dpc_rates(dl, split.p1, split.p2, SicOrder.USER2_FIRST),
+                      "rates_zf": zf}
+    for k, g in enumerate(stats.gains):  # after the DualLink, which checks the budget first
+        snr = (scene.ul_snr_linear[k] if link == "ul"
+               else scene.snr_coefficient(k) * scene.downlink_power)
+        report[f"C{k + 1}_{link}"] = uplink.su_capacity(snr, g)
+    return report
+
+
+def region(scene: Scene, stats: Statistics, link: str, splits: int) -> tuple:
+    """Capacity region of one link as its tuple of CCW (R1, R2) vertices: the
+    uplink pentagon, or the hull of the downlink's dual pentagons over
+    `splits` power splits."""
+    ch = stats.pair
+    if link == "ul":
+        return uplink.region_ul(*scene.ul_snr_linear, ch)
+    return downlink.region_dl(dual_link(scene, ch), splits)
+
+
 SWEEP_PARAMS = ("aperture_area", "occupation", "snr")
 
 SWEEP_COLUMNS = ("C_ul", "R_ul_zf", "C1_ul", "C2_ul", "C_dl", "R_dl_zf", "g1", "g2", "rho_abs2",
@@ -249,18 +296,27 @@ SWEEP_COLUMNS = ("C_ul", "R_ul_zf", "C1_ul", "C2_ul", "C_dl", "R_dl_zf", "g1", "
 "Columns of a sweep row after the swept value."
 
 
-def sweep(scene: Scene, param: str, values) -> list[list[float]]:
-    """Rows of a parameter sweep: each value, then the SWEEP_COLUMNS of its scene.
+def sweep(scene: Scene, param: str, start: float, stop: float, steps: int) -> list[list[float]]:
+    """Rows of a parameter sweep: each of `steps` values from start to stop,
+    linear in dB for `snr` and geometric otherwise, then the SWEEP_COLUMNS
+    of its scene.
 
     `aperture_area` keeps the aperture kind: a planar aperture keeps its
     aspect ratio, a strip its length_x; a discrete array is rejected, its
     area follows from its grid.  `occupation` sets a discrete array's
     element area to the value times spacing^2, `snr` every user's uplink
-    SNR in dB.  The asymptotes are the sum capacities on asymptotic_pair:
-    the uplink one is the sum of the single-user capacities.  Every step
-    keeps the scene's quadrature_order, so None picks each row's rule by
-    its own area.
+    SNR in dB.  The asymptotes are the rates on asymptotic_pair: the uplink
+    one is the sum of the single-user capacities.  Every step keeps the
+    scene's quadrature_order, so None picks each row's rule by its own area.
     """
+    if param == "snr":
+        if not math.isfinite(stop - start):
+            raise SceneError(f"the snr span {start} to {stop} dB overflows a float")
+        values = np.linspace(start, stop, steps)
+    elif not (start > 0 and stop > 0):
+        raise SceneError(f"a {param} sweep needs --start and --stop above 0")
+    else:
+        values = np.geomspace(start, stop, steps)
     discrete = isinstance(scene.aperture, DiscreteAperture)
     if param == "aperture_area" and discrete:
         raise SceneError("an SPDA's area is set by its grid; sweep --param occupation instead")
@@ -271,24 +327,13 @@ def sweep(scene: Scene, param: str, values) -> list[list[float]]:
     rows = []
     for v in values:
         step = _sweep_step(scene, param, float(v))
-        ch = channel_pair(step).pair
-        asy = asymptotic_pair(step)
-        s1, s2 = step.ul_snr_linear
-        link = dual_link(step, ch)
-        rows.append([
-            float(v),
-            uplink.sum_capacity_ul(s1, s2, ch),
-            uplink.zf_sum_rate_ul(s1, s2, ch),
-            uplink.su_capacity(s1, ch.g1),
-            uplink.su_capacity(s2, ch.g2),
-            downlink.sum_capacity_dl(link),
-            downlink.zf_precoding_dl(link).total,
-            ch.g1,
-            ch.g2,
-            abs(ch.rho) ** 2,
-            uplink.su_capacity(s1, asy.g1) + uplink.su_capacity(s2, asy.g2),
-            downlink.sum_capacity_dl(dual_link(step, asy)),
-        ])
+        stats = channel_pair(step)
+        ch, asy = stats.pair, asymptotic_pair(step)
+        asy_ul = rates(step, asy, "ul")
+        r = {**rates(step, stats, "ul"), **rates(step, stats, "dl"), "g1": ch.g1, "g2": ch.g2,
+             "rho_abs2": abs(ch.rho) ** 2, "asy_ul": asy_ul["C1_ul"] + asy_ul["C2_ul"],
+             "asy_dl": rates(step, asy, "dl")["C_dl"]}
+        rows.append([float(v), *(r[c] for c in SWEEP_COLUMNS)])
     return rows
 
 

@@ -179,6 +179,27 @@ class TestCapacityCommand:
         (g,), _ = scenario.channel_pair(s)
         assert rep["capacity"] == pytest.approx(math.log2(1 + 1e3 * g))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [["capacity", "--link", "ul"], ["capacity", "--link", "ul", "--scheme", "zf"],
+         ["region", "--link", "ul"]],
+    )
+    @pytest.mark.parametrize("budget", [None, 1e308])
+    def test_uplink_reads_no_downlink_budget(self, argv, budget, capsys, tmp_path):
+        cfg = scene_to_dict(scene_defaults())
+        del cfg["downlink_sum_snr_db"]
+        if budget is not None:
+            cfg["downlink_power"] = budget
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(cfg))
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main(argv + ["--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == default.err == ""
+        assert captured.out == default.out
+
 
 class TestRegionCommand:
     def test_uplink_pentagon_five_vertices(self, capsys):
@@ -640,6 +661,8 @@ class TestDeterminismAndExitCodes:
             ["capacity", "--seed", "1"],
             ["region", "--seed", "1"],
             ["sweep", "--param", "snr", "--start", "1", "--stop", "2", "--seed", "1"],
+            # the oracle integrates over a planar aperture only
+            ["gain", "--oracle", "--aperture", "spda", "--elements", "5"],
         ],
     )
     def test_bad_input_exits_one_with_one_error_line(self, argv, capsys, tmp_path, monkeypatch):

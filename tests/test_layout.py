@@ -7,6 +7,9 @@ included) or an import.  Docstrings and comments do not count.  Helpers that
 only tests call belong in tests/references.py.  The match is by name, so a
 method that shares its name with a used attribute of another class passes.
 
+The CLI computes no rates: cli.py imports neither uplink nor downlink, and
+reads every rate and region through scenario.
+
 Every number enters through one reader: each numeric command-line option is
 typed by the CLI's wrapper of scenario.read_number, with its whole-number
 range, if any, from scenario.LIMITS, and rejects the values just outside it.
@@ -69,6 +72,19 @@ def unreferenced_names() -> list[str]:
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreferenced_names() == []
+
+
+def test_cli_imports_no_rate_module():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x, y
+                imported.update(alias.name for alias in node.names)
+            else:  # from .x import y
+                imported.add(node.module.split(".")[0])
+    assert imported, "cli.py has no relative imports to check"
+    assert imported.isdisjoint({"uplink", "downlink"}), sorted(imported)
 
 
 def _options(parser: argparse.ArgumentParser):

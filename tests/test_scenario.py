@@ -208,7 +208,7 @@ class TestDerived:
                 assert scenario.auto_quadrature_order(replace(scene, quadrature_order=order)) == order
 
     def test_sweep_rows(self):
-        rows = scenario.sweep(scene_defaults(), "snr", np.array([10.0, 20.0]))
+        rows = scenario.sweep(scene_defaults(), "snr", 10.0, 20.0, 2)
         assert [len(r) for r in rows] == [1 + len(scenario.SWEEP_COLUMNS)] * 2
         assert [r[0] for r in rows] == [10.0, 20.0]
         assert rows[0][1] < rows[1][1]  # C_ul grows with the uplink SNR
@@ -216,4 +216,24 @@ class TestDerived:
     @pytest.mark.parametrize("param", ["occupation", "grid"])
     def test_sweep_rejects_parameter_the_aperture_lacks(self, param):
         with pytest.raises(SceneError):
-            scenario.sweep(scene_defaults(), param, [1.0])
+            scenario.sweep(scene_defaults(), param, 1.0, 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [PlanarAperture(0.5, 0.5), LinearAperture(0.05, 1.0), DiscreteAperture(11, 11, 0.05, 1e-3)],
+    )
+    def test_sweep_rate_columns_are_the_rate_report(self, aperture):
+        scene = replace(scene_defaults(), aperture=aperture)
+        (row,) = scenario.sweep(scene, "snr", 25.0, 25.0, 1)
+        step = replace(scene, ul_snr_db=(25.0, 25.0))
+        stats = scenario.channel_pair(step)
+        report = {**scenario.rates(step, stats, "ul"), **scenario.rates(step, stats, "dl")}
+        asy = scenario.asymptotic_pair(step)
+        asy_ul = scenario.rates(step, asy, "ul")
+        report["asy_ul"] = asy_ul["C1_ul"] + asy_ul["C2_ul"]
+        report["asy_dl"] = scenario.rates(step, asy, "dl")["C_dl"]
+        columns = dict(zip(scenario.SWEEP_COLUMNS, row[1:]))
+        rate_columns = [c for c in scenario.SWEEP_COLUMNS if c in report]
+        assert rate_columns == [c for c in scenario.SWEEP_COLUMNS if c not in ("g1", "g2", "rho_abs2")]
+        for c in rate_columns:
+            assert columns[c] == report[c], c
